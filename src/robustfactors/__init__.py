@@ -30,12 +30,10 @@ from .estimators import (
 )
 from .kendall import (
     KendallTauMatrix,
-    backend_in_use,
     han_lower_bound,
     load_matrix_binary,
     population_kendall_eigenvalues_oracle,
     sample_kendall_tau,
-    sample_kendall_tau_parallel,
     save_matrix_binary,
     verify_kendall_invariants,
 )
@@ -73,13 +71,11 @@ __all__ = [
     "sample_elliptical_generic",
     "KendallTauMatrix",
     "sample_kendall_tau",
-    "sample_kendall_tau_parallel",
     "verify_kendall_invariants",
     "population_kendall_eigenvalues_oracle",
     "han_lower_bound",
     "save_matrix_binary",
     "load_matrix_binary",
-    "backend_in_use",
     "EigenSpectrum",
     "eigenvalues_sym",
     "build_spectrum",

@@ -15,7 +15,7 @@ import numpy as np
 from ._errors import InvariantError, NumericalError
 from .elliptical import RngStream
 from .estimators import estimate_many
-from .kendall import sample_kendall_tau_parallel, verify_kendall_invariants
+from .kendall import sample_kendall_tau, verify_kendall_invariants
 from .montecarlo import (
     format_report_table,
     generate_panel,
@@ -83,7 +83,7 @@ def _cmd_simulate(args) -> int:
     spec = make_scenario(args.scenario, **knobs)
     configs = method_configs(args.methods, k_max=spec.k_max, c=args.c)
     report = run_scenario(
-        spec, configs, master_seed=args.seed, workers=args.workers,
+        spec, configs, master_seed=args.seed,
         progress=_progress_printer("simulate", spec.reps),
     )
     print(format_report_table(report))
@@ -97,7 +97,7 @@ def _cmd_estimate(args) -> int:
     panel = _load_panel(args)
     configs = method_configs(args.methods, k_max=args.kmax or 8, c=args.c,
                              allow_zero=args.allow_zero)
-    results = estimate_many(panel, configs, workers=args.workers)
+    results = estimate_many(panel, configs)
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -126,7 +126,7 @@ def _cmd_rolling(args) -> int:
     configs = method_configs(args.methods, k_max=args.kmax or 8, c=args.c)
     n_windows = max(panel.shape[0] - args.window + 1, 1)
     result = rolling_estimate(
-        panel, args.window, configs, workers=args.workers,
+        panel, args.window, configs,
         progress=_progress_printer("rolling", n_windows),
     )
     if args.out:
@@ -176,7 +176,7 @@ def _cmd_selfcheck(args) -> int:
     panel = generate_panel(spec, 0, rng)
     Y = double_demean(panel).values
 
-    kt = sample_kendall_tau_parallel(Y, workers=2)
+    kt = sample_kendall_tau(Y)
     matrix = kt.matrix
     if args.corrupt:
         matrix = matrix.copy()
@@ -193,15 +193,14 @@ def _cmd_selfcheck(args) -> int:
             d = small[i] - small[j]
             ref += np.outer(d, d) / (d @ d)
     ref /= 12 * 11 / 2
-    got = sample_kendall_tau_parallel(small).matrix
+    got = sample_kendall_tau(small).matrix
     if np.max(np.abs(got - ref)) > 1e-12:
         raise InvariantError("pairwise kernel disagrees with direct enumeration")
     ok("kendall kernel matches direct enumeration")
 
-    serial = sample_kendall_tau_parallel(Y, workers=1).matrix
-    if not np.array_equal(serial, sample_kendall_tau_parallel(Y, workers=4).matrix):
-        raise InvariantError("worker count changed the kendall matrix")
-    ok("parallel accumulation is deterministic")
+    if not np.array_equal(kt.matrix, sample_kendall_tau(Y).matrix):
+        raise InvariantError("repeated calls changed the kendall matrix")
+    ok("repeated calls are bit-identical")
 
     raw = eigenvalues_sym(kt.matrix)
     spec60 = build_spectrum(raw, panel.shape[1], panel.shape[0], c=0.05)
@@ -246,7 +245,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--c", type=float, default=0.01, help="regularization constant")
     sim.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
     sim.add_argument("--out", help="write per-method CSV here")
-    sim.add_argument("--workers", type=int, help="threads for the pairwise kernel")
     sim.set_defaults(func=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate the factor count of a CSV panel")
@@ -257,7 +255,6 @@ def _build_parser() -> _Parser:
     est.add_argument("--allow-zero", action="store_true",
                      help="let the estimators return zero factors")
     est.add_argument("--json", action="store_true", help="machine-readable output")
-    est.add_argument("--workers", type=int, help="threads for the pairwise kernel")
     est.set_defaults(func=_cmd_estimate)
 
     roll = sub.add_parser("rolling", help="rolling-window estimates over a CSV panel")
@@ -267,7 +264,6 @@ def _build_parser() -> _Parser:
     roll.add_argument("--kmax", type=int, help="largest candidate factor count (default 8)")
     roll.add_argument("--c", type=float, default=0.01, help="regularization constant")
     roll.add_argument("--out", help="write the per-window CSV here")
-    roll.add_argument("--workers", type=int, help="threads for the pairwise kernel")
     roll.set_defaults(func=_cmd_rolling)
 
     cat = sub.add_parser("catalog", help="list the simulation scenarios")

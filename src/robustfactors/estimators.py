@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kendall import sample_kendall_tau_parallel
+from .kendall import sample_kendall_tau
 from .panel import DataPanel, double_demean
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
@@ -157,7 +157,6 @@ def _demeaned_values(panel: DataPanel, mode: str) -> np.ndarray:
 def estimate_many(
     panel: DataPanel,
     configs: dict[str, EstimatorConfig],
-    workers: int | None = None,
 ) -> dict[str, EstimationResult]:
     """Run several configurations on one panel, sharing matrix work.
 
@@ -183,7 +182,7 @@ def estimate_many(
         key = (path, config.demean)
         if key not in raw_cache:
             if path == "kendall":
-                kt = sample_kendall_tau_parallel(Y, workers=workers)
+                kt = sample_kendall_tau(Y)
                 raw_cache[key] = eigenvalues_sym(kt.matrix)
             else:
                 raw_cache[key] = gram_eigenvalues(Y)
@@ -192,11 +191,11 @@ def estimate_many(
     return results
 
 
-def estimate(panel: DataPanel, config: EstimatorConfig, workers: int | None = None) -> EstimationResult:
+def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
     """End to end: demean, build the method's matrix, extract the spectrum, decide.
 
     MKER/MKTCR run on the sample multivariate Kendall's tau matrix of the
     (optionally double-demeaned) panel; ER/GR/TCR run on the covariance-path
     Gram spectrum.
     """
-    return estimate_many(panel, {config.method: config}, workers=workers)[config.method]
+    return estimate_many(panel, {config.method: config})[config.method]

@@ -302,14 +302,13 @@ def run_scenario(
     spec: ScenarioSpec,
     methods=None,
     master_seed: int = 0,
-    workers: int | None = None,
     progress=None,
 ) -> MonteCarloReport:
     """Run spec.reps replications and aggregate x(y|z) per method.
 
     Replication k uses RngStream(master_seed, k). Panels are doubly demeaned
-    by default (per the configs from :func:`method_configs`); the report is
-    independent of ``workers``.
+    by default (per the configs from :func:`method_configs`), so the report
+    depends only on the spec, the methods and the seed.
     """
     if isinstance(methods, dict):
         configs = methods
@@ -322,7 +321,7 @@ def run_scenario(
     hist: dict[str, dict[int, int]] = {name: {} for name in configs}
     for k in range(spec.reps):
         panel = generate_panel(spec, k, base)
-        results = estimate_many(panel, configs, workers=workers)
+        results = estimate_many(panel, configs)
         for name, res in results.items():
             totals[name] += res.r_hat
             under[name] += res.r_hat < spec.r

@@ -25,7 +25,7 @@ class RollingResult:
         return [(label, r) for label, m, r in self.series if m == method]
 
 
-def rolling_estimate(panel: DataPanel, window: int, configs, workers=None, progress=None) -> RollingResult:
+def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> RollingResult:
     """Estimate the factor count on every length-``window`` trailing window.
 
     The panel must be complete (impute first). Windows end at observations
@@ -49,7 +49,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, workers=None, progr
     n_windows = T - window + 1
     for end in range(window - 1, T):
         sub = DataPanel(panel.values[end - window + 1 : end + 1])
-        results = estimate_many(sub, configs, workers=workers)
+        results = estimate_many(sub, configs)
         label = labels[end] if labels is not None else str(end + 1)
         for name, res in results.items():
             series.append((label, name, res.r_hat))

@@ -226,11 +226,11 @@ class TestParser:
         "cmd,flags",
         [
             ("simulate", ["--scenario", "--dist", "--N", "--T", "--reps", "--seed",
-                          "--snr", "--kmax", "--c", "--methods", "--out", "--workers"]),
+                          "--snr", "--kmax", "--c", "--methods", "--out"]),
             ("estimate", ["--input", "--no-header", "--time-column", "--methods",
-                          "--kmax", "--c", "--allow-zero", "--json", "--workers"]),
+                          "--kmax", "--c", "--allow-zero", "--json"]),
             ("rolling", ["--input", "--no-header", "--time-column", "--window",
-                         "--methods", "--kmax", "--c", "--out", "--workers"]),
+                         "--methods", "--kmax", "--c", "--out"]),
         ],
     )
     def test_subcommand_help_lists_flags(self, cmd, flags):
@@ -238,3 +238,4 @@ class TestParser:
         assert proc.returncode == 0
         for flag in flags:
             assert flag in proc.stdout, flag
+        assert "--workers" not in proc.stdout

@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from robustfactors._errors import InvariantError
-from robustfactors._kernels import available_backends
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_gaussian, sample_student_t
+from robustfactors.estimators import estimate_many
 from robustfactors.kendall import (
     han_lower_bound,
     load_matrix_binary,
     population_kendall_eigenvalues_oracle,
     sample_kendall_tau,
-    sample_kendall_tau_parallel,
     verify_kendall_invariants,
 )
+from robustfactors.montecarlo import method_configs
 from robustfactors.panel import DataPanel
 from robustfactors.spectrum import eigenvalues_sym
 
@@ -33,6 +40,29 @@ def brute_force(Y: np.ndarray):
             total += np.outer(d, d) / s
             kept += 1
     return total / kept, kept
+
+
+def enumerate_rows(Y: np.ndarray, dtype=np.float64):
+    """Same sum as :func:`brute_force`, one row against all later rows at a time, in dtype."""
+    Y = Y.astype(dtype)
+    N = Y.shape[1]
+    total = np.zeros((N, N), dtype=dtype)
+    kept = 0
+    for i in range(Y.shape[0] - 1):
+        D = Y[i] - Y[i + 1 :]
+        s = np.einsum("ij,ij->i", D, D)
+        D, s = D[s > 0], s[s > 0]
+        total += D.T @ (D / s[:, None])
+        kept += s.size
+    return total / kept, kept
+
+
+def t_factor_panel(nu: float, seed: int, T: int = 400, N: int = 50, r: int = 3) -> np.ndarray:
+    """T x N multivariate t_nu panel whose scatter has r strong factors."""
+    gen = np.random.default_rng(seed)
+    A = np.hstack([3.0 * gen.standard_normal((N, r)), np.eye(N)])
+    spec = EllipticalSpec(family="student_t", mu=np.zeros(N), scatter_factor=A, nu=nu)
+    return sample_student_t(spec, T, RngStream(seed))
 
 
 class TestKernelValue:
@@ -83,43 +113,116 @@ class TestKernelValue:
         with pytest.raises(ValueError, match="two rows"):
             sample_kendall_tau(np.ones((1, 4)))
 
+    def test_nonfinite_panel_rejected(self):
+        Y = np.ones((4, 3))
+        Y[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_kendall_tau(Y)
+
+    def test_row_blocks_match_enumeration(self, rng):
+        # 1200 rows span several row blocks of the pair-weight matrix
+        Y = rng.standard_normal((1200, 4)) * np.array([1.0, 10.0, 0.1, 3.0])
+        Y[700] = Y[100]
+        ref, kept = enumerate_rows(Y)
+        kt = sample_kendall_tau(Y)
+        assert kt.n_pairs == kept
+        assert kt.degenerate_pairs_dropped == 1
+        assert np.abs(kt.matrix - ref).max() <= 1e-12
+
+
+class TestExtendedPrecisionOracle:
+    """Heavy tails and near-duplicate rows against a long double enumeration."""
+
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
+    def test_heavy_tailed_factor_panels(self, nu):
+        Y = t_factor_panel(nu, seed=11)
+        kt = sample_kendall_tau(Y)
+        assert kt.direct_pairs == 0
+        assert float(np.abs(kt.matrix - enumerate_rows(Y, np.longdouble)[0]).max()) <= 1e-15
+
+    def test_near_duplicate_cluster_takes_the_direct_path(self, rng):
+        Y = rng.standard_normal((400, 50))
+        u = rng.standard_normal(50)
+        Y[:40] = 1e4 * u + 10.0 * rng.standard_normal((40, 50))
+        kt = sample_kendall_tau(Y)
+        assert kt.direct_pairs == 40 * 39 // 2
+        assert float(np.abs(kt.matrix - enumerate_rows(Y, np.longdouble)[0]).max()) <= 1e-15
+
+
+_THREADS_SCRIPT = """
+import json, sys
+import numpy as np
+from robustfactors import DataPanel, estimate_many, method_configs, sample_kendall_tau
+gen = np.random.default_rng(5)
+shapes = [(300, 128, 2.0), (708, 40, 3.0), (97, 11, 1.0)]  # T, N, t degrees of freedom
+panels = [3.0 * gen.standard_normal((T, 3)) @ gen.standard_normal((3, N))
+          + gen.standard_t(nu, size=(T, N)) for T, N, nu in shapes]
+out = []
+for Y in panels:
+    res = estimate_many(DataPanel(Y), method_configs(None))
+    out.append({"matrix": sample_kendall_tau(Y).matrix.tobytes().hex(),
+                "r_hat": {m: r.r_hat for m, r in res.items()}})
+json.dump(out, sys.stdout)
+"""
+
+
+def run_with_blas_threads(n: int) -> list[dict]:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(n)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
 
 class TestDeterminism:
-    def test_bit_equality_across_worker_counts(self, rng):
-        Y = rng.standard_normal((97, 11))
-        base = sample_kendall_tau_parallel(Y, workers=1).matrix
-        for workers in (2, 3, 4, 8):
-            other = sample_kendall_tau_parallel(Y, workers=workers).matrix
-            assert np.array_equal(base, other)
-
-    def test_more_workers_than_pairs(self):
-        Y = np.array([[0.0, 1.0], [2.0, 5.0]])
-        a = sample_kendall_tau_parallel(Y, workers=8).matrix
-        b = sample_kendall_tau_parallel(Y, workers=1).matrix
-        assert np.array_equal(a, b)
+    """Same bytes on every call at a fixed BLAS thread count; same r_hat across counts."""
 
     def test_repeated_calls_identical(self, rng):
         Y = rng.standard_normal((40, 6))
-        a = sample_kendall_tau_parallel(Y, workers=4).matrix
-        b = sample_kendall_tau_parallel(Y, workers=4).matrix
+        a = sample_kendall_tau(Y).matrix
+        b = sample_kendall_tau(Y).matrix
         assert np.array_equal(a, b)
 
-    def test_invalid_worker_count(self, rng):
-        with pytest.raises(ValueError, match="workers"):
-            sample_kendall_tau_parallel(rng.standard_normal((5, 3)), workers=0)
+    def test_bit_equality_across_processes(self):
+        assert run_with_blas_threads(1) == run_with_blas_threads(1)
 
-    @pytest.mark.skipif(
-        len(available_backends()) < 2, reason="accelerated backend unavailable"
-    )
-    def test_backends_agree(self, rng):
-        Y = rng.standard_normal((80, 9))
-        a = sample_kendall_tau(Y, backend="numba").matrix
-        b = sample_kendall_tau(Y, backend="numpy").matrix
-        assert np.abs(a - b).max() <= 1e-12
+    def test_blas_thread_count_contract(self):
+        one, two = run_with_blas_threads(1), run_with_blas_threads(2)
+        for a, b in zip(one, two):
+            assert a["r_hat"] == b["r_hat"]
+            ma, mb = (np.frombuffer(bytes.fromhex(x["matrix"])) for x in (a, b))
+            assert np.abs(ma - mb).max() <= 1e-15
 
-    def test_unknown_backend_rejected(self, rng):
-        with pytest.raises(ValueError, match="backend"):
-            sample_kendall_tau(rng.standard_normal((5, 3)), backend="gpu")
+
+class TestScaleInvariance:
+    """The matrix and the Kendall-path r_hat do not move under Y -> a Y."""
+
+    PANEL = t_factor_panel(3.0, seed=17, T=60, N=20, r=2)
+    CONFIGS = method_configs("mker,mktcr")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-300, 300))
+    # Without the rescale, |d|^2 overflows at 1e160 (zero matrix, r_hat 1), is
+    # subnormal at 1e-160 (trace off by 1e-8) and is zero at 1e-170.
+    @example(160)
+    @example(-160)
+    @example(-170)
+    def test_decimal_scales_keep_r_hat(self, e):
+        base = estimate_many(DataPanel(self.PANEL), self.CONFIGS)
+        Y = self.PANEL * 10.0**e
+        verify_kendall_invariants(sample_kendall_tau(Y))
+        scaled = estimate_many(DataPanel(Y), self.CONFIGS)
+        for m in self.CONFIGS:
+            assert scaled[m].r_hat == base[m].r_hat, (m, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-1000, 1000))
+    def test_power_of_two_scales_are_bit_identical(self, k):
+        Y = np.ldexp(self.PANEL, k)
+        assert np.abs(Y).min() >= np.finfo(float).tiny and np.isfinite(Y).all()
+        base = sample_kendall_tau(self.PANEL).matrix
+        assert np.array_equal(sample_kendall_tau(Y).matrix, base)
 
 
 class TestDegeneratePairs:

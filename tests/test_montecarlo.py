@@ -232,12 +232,14 @@ class TestRunScenario:
             mean = sum(j * n for j, n in stats.histogram.items()) / 12
             assert stats.mean == pytest.approx(mean)
 
-    def test_seed_determinism_and_worker_independence(self):
+    def test_seed_determinism(self):
         spec = make_scenario("A", dist="gaussian", N=30, T=30, reps=4)
-        r1 = run_scenario(spec, methods="mker", master_seed=5, workers=1)
-        r2 = run_scenario(spec, methods="mker", master_seed=5, workers=2)
+        r1 = run_scenario(spec, methods="mker", master_seed=5)
+        r2 = run_scenario(spec, methods="mker", master_seed=5)
         assert r1.per_method == r2.per_method
         assert r1.seed == 5
+        r3 = run_scenario(spec, methods="mker,er", master_seed=5)
+        assert r3.per_method["mker"] == r1.per_method["mker"]
 
     def test_progress_callback(self):
         spec = make_scenario("A", dist="gaussian", N=20, T=20, reps=3)
