@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     panel = _load_panel(args)
-    configs = method_configs(args.methods, k_max=args.kmax or 8, c=args.c,
+    configs = method_configs(args.methods, k_max=args.kmax, c=args.c,
                              allow_zero=args.allow_zero)
     results = estimate_many(panel, configs)
     if args.json:
@@ -104,7 +104,7 @@ def _cmd_estimate(args) -> int:
             "input": args.input,
             "N": panel.shape[1],
             "T": panel.shape[0],
-            "k_max": args.kmax or 8,
+            "k_max": args.kmax,
             "c": args.c,
             "allow_zero": args.allow_zero,
             "results": {
@@ -123,7 +123,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rolling(args) -> int:
     panel = _load_panel(args)
-    configs = method_configs(args.methods, k_max=args.kmax or 8, c=args.c)
+    configs = method_configs(args.methods, k_max=args.kmax, c=args.c)
     n_windows = max(panel.shape[0] - args.window + 1, 1)
     result = rolling_estimate(
         panel, args.window, configs,
@@ -133,12 +133,9 @@ def _cmd_rolling(args) -> int:
         write_rolling_csv(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        step = len(result.methods)
         print("time_label " + " ".join(result.methods))
-        for i in range(0, len(result.series), step):
-            chunk = result.series[i : i + step]
-            values = {m: r for _, m, r in chunk}
-            print(chunk[0][0] + " " + " ".join(str(values[m]) for m in result.methods))
+        for row in result.rows():
+            print(" ".join(map(str, row)))
     return 0
 
 
@@ -250,7 +247,8 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="estimate the factor count of a CSV panel")
     _add_input_flags(est)
     est.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
-    est.add_argument("--kmax", type=int, help="largest candidate factor count (default 8)")
+    est.add_argument("--kmax", type=int, default=8,
+                     help="largest candidate factor count (default 8)")
     est.add_argument("--c", type=float, default=0.01, help="regularization constant")
     est.add_argument("--allow-zero", action="store_true",
                      help="let the estimators return zero factors")
@@ -261,7 +259,8 @@ def _build_parser() -> _Parser:
     _add_input_flags(roll)
     roll.add_argument("--window", type=int, default=150, help="window length (default 150)")
     roll.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
-    roll.add_argument("--kmax", type=int, help="largest candidate factor count (default 8)")
+    roll.add_argument("--kmax", type=int, default=8,
+                     help="largest candidate factor count (default 8)")
     roll.add_argument("--c", type=float, default=0.01, help="regularization constant")
     roll.add_argument("--out", help="write the per-window CSV here")
     roll.set_defaults(func=_cmd_rolling)

@@ -85,6 +85,8 @@ class ScenarioSpec:
             raise ValueError("N and T must be >= 2")
         if self.dist not in DIST_CHOICES:
             raise ValueError(f"dist must be one of {DIST_CHOICES}")
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.scatter_diag is not None:
@@ -128,7 +130,7 @@ def _build_a(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
     _reject("A", snr=snr)
     return ScenarioSpec(
         name="A", r=3, theta=1.0, rho=0.0, beta=0.0, J=0,
-        dist=dist, N=N, T=T, k_max=k_max or 8, reps=reps,
+        dist=dist, N=N, T=T, k_max=8 if k_max is None else k_max, reps=reps,
     )
 
 
@@ -161,7 +163,7 @@ def _correlated(name, dist, r=3, theta=1.0):
         return ScenarioSpec(
             name=name, r=rr, theta=theta, rho=0.5, beta=0.2,
             J=neighbor_half_width(N), dist=dist, N=N, T=T,
-            k_max=k_max or 8, reps=reps, scatter_diag=scatter,
+            k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
         )
 
     return build

@@ -8,6 +8,7 @@ after :func:`double_demean`.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +68,44 @@ class DataPanel:
         return bool(self.missing_mask.any())
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def _check_cell(cell: str, path, lineno: int, colno: int) -> float:
+    """Value of a cell whose plain float() failed or was not finite.
+
+    Missing tokens give NaN; anything else that is not a finite number raises
+    with the cell's 1-based row and column.
+    """
+    token = cell.strip()
+    if token.lower() in _MISSING_TOKENS:
+        return np.nan
+    try:
+        x = float(token)
+    except ValueError:
+        raise ValueError(
+            f"{path}: cannot parse cell at row {lineno}, column {colno}: {cell!r}"
+        ) from None
+    if not math.isfinite(x):
+        raise ValueError(f"{path}: non-finite value at row {lineno}, column {colno}")
+    return x
+
+
 def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> DataPanel:
     """Read a panel from a CSV file.
 
     Parameters
     ----------
     path : str or os.PathLike
-        UTF-8, comma-separated file. Missing cells may be empty, "NA" or
-        "NaN".
+        UTF-8, comma-separated file; cells may be quoted. A cell that is
+        empty, "NA" or "NaN" (any case, surrounding whitespace allowed) is
+        missing. Every other cell must be a finite number: "inf", "+nan" and
+        overflowing literals such as "1e999" are rejected. Error messages give
+        1-based rows that count the header.
     has_header : bool
         Skip the first row.
     has_time_column : bool
@@ -86,8 +117,9 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
         Missing cells are flagged in the mask and hold NaN; column order is
         preserved.
     """
+    # A well-formed cell costs one float() call. Only a row whose sum is not
+    # finite is looked at cell by cell, and there only the non-finite cells.
     rows: list[list[float]] = []
-    mask_rows: list[list[bool]] = []
     labels: list[str] = []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -98,43 +130,30 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
             if has_time_column:
                 if not record:
                     raise ValueError(f"{path}: row {lineno} is empty")
-                labels.append(record[0])
-                record = record[1:]
+                labels.append(record.pop(0))
             if width is None:
                 width = len(record)
             elif len(record) != width:
                 raise ValueError(
                     f"{path}: row {lineno} has {len(record)} columns, expected {width}"
                 )
-            vals = []
-            miss = []
-            for colno, cell in enumerate(record, start=1):
-                token = cell.strip()
-                if token.lower() in _MISSING_TOKENS:
-                    vals.append(np.nan)
-                    miss.append(True)
-                    continue
-                try:
-                    x = float(token)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: cannot parse cell at row {lineno}, column {colno}: {cell!r}"
-                    ) from None
-                if not np.isfinite(x):
-                    raise ValueError(
-                        f"{path}: non-finite value at row {lineno}, column {colno}"
-                    )
-                vals.append(x)
-                miss.append(False)
-            rows.append(vals)
-            mask_rows.append(miss)
+            row = list(map(_float_or_nan, record))
+            if not math.isfinite(sum(row)):
+                row = [
+                    x if math.isfinite(x) else _check_cell(cell, path, lineno, colno)
+                    for colno, (x, cell) in enumerate(zip(row, record), start=1)
+                ]
+            rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if width is None or width < 2:
         raise ValueError(f"{path}: need at least 2 columns, got {width or 0}")
     values = np.array(rows, dtype=np.float64)
-    mask = np.array(mask_rows, dtype=bool)
-    return DataPanel(values, time_labels=labels if has_time_column else None, missing_mask=mask)
+    return DataPanel(
+        values,
+        time_labels=labels if has_time_column else None,
+        missing_mask=np.isnan(values),
+    )
 
 
 def impute_column_mean(panel: DataPanel) -> DataPanel:

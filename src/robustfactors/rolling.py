@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .estimators import estimate_many
@@ -23,6 +24,14 @@ class RollingResult:
     def by_method(self, method: str) -> list[tuple[str, int]]:
         """The (time_label, r_hat) path of one method."""
         return [(label, r) for label, m, r in self.series if m == method]
+
+    def rows(self) -> Iterator[tuple]:
+        """One (time_label, r_hat of each of ``methods``, in order) row per window."""
+        step = len(self.methods)
+        for i in range(0, len(self.series), step):
+            chunk = self.series[i : i + step]
+            values = {m: r for _, m, r in chunk}
+            yield (chunk[0][0], *(values[m] for m in self.methods))
 
 
 def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> RollingResult:
@@ -62,11 +71,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
 
 def write_rolling_csv(result: RollingResult, path) -> None:
     """CSV with a time_label column and one integer column per method."""
-    step = len(result.methods)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_label", *result.methods])
-        for i in range(0, len(result.series), step):
-            chunk = result.series[i : i + step]
-            values = {m: r for _, m, r in chunk}
-            writer.writerow([chunk[0][0], *(values[m] for m in result.methods)])
+        writer.writerows(result.rows())

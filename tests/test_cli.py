@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,23 @@ def factor_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "panel.csv"
     write_panel_csv(path, Y)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def drifting_csv(tmp_path_factory):
+    """60 x 20 dated panel whose factor strengths grow over time, with t2 noise."""
+    gen = np.random.default_rng(77)
+    F = gen.standard_normal((60, 3))
+    lam = gen.standard_normal((20, 3))
+    strength = np.linspace(0.0, 6.0, 60)[:, None] * np.array([1.0, 0.5, 0.2])
+    Y = (strength * F) @ lam.T + gen.standard_t(2, size=(60, 20))
+    labels = [f"{2000 + t // 12}-{t % 12 + 1:02d}" for t in range(60)]
+    path = tmp_path_factory.mktemp("data") / "drifting.csv"
+    write_panel_csv(path, Y, time_labels=labels)
+    return str(path)
+
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 class TestSimulate:
@@ -84,6 +102,12 @@ class TestSimulate:
                        "--N", "2", "--T", "2", "--reps", "1")
         assert proc.returncode == 1
         assert "too small" in proc.stderr
+
+    def test_kmax_zero_rejected(self):
+        proc = run_cli("simulate", "--scenario", "C1", "--N", "30", "--T", "30",
+                       "--reps", "1", "--kmax", "0")
+        assert proc.returncode == 1
+        assert "k_max must be >= 1" in proc.stderr
 
     def test_unknown_flag(self):
         proc = run_cli("simulate", "--scenario", "A", "--fast")
@@ -147,6 +171,12 @@ class TestEstimate:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_kmax_zero_rejected(self, factor_csv):
+        proc = run_cli("estimate", "--input", factor_csv, "--json", "--kmax", "0")
+        assert proc.returncode == 1
+        assert "k_max must be >= 1" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_mentions_path(self):
         proc = run_cli("estimate", "--input", "/no/such/panel.csv")
         assert proc.returncode == 1
@@ -176,6 +206,27 @@ class TestRolling:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 21
         assert set(rows[0]) == {"time_label", "mker"}
+
+    def test_stdout_matches_golden(self, drifting_csv):
+        # captured from the CLI before RollingResult.rows() existed
+        proc = run_cli("rolling", "--input", drifting_csv, "--time-column",
+                       "--window", "20", "--kmax", "4")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "rolling_stdout.txt").read_text()
+
+    def test_csv_out_holds_the_stdout_rows(self, drifting_csv, tmp_path):
+        out = tmp_path / "roll.csv"
+        proc = run_cli("rolling", "--input", drifting_csv, "--time-column",
+                       "--window", "20", "--kmax", "4", "--out", str(out))
+        assert proc.returncode == 0
+        with open(out, newline="") as fh:
+            rows = [" ".join(row) for row in csv.reader(fh)]
+        assert rows == (GOLDEN / "rolling_stdout.txt").read_text().splitlines()
+
+    def test_kmax_zero_rejected(self, factor_csv):
+        proc = run_cli("rolling", "--input", factor_csv, "--window", "30", "--kmax", "0")
+        assert proc.returncode == 1
+        assert "k_max must be >= 1" in proc.stderr
 
     def test_window_too_large(self, factor_csv):
         proc = run_cli("rolling", "--input", factor_csv, "--window", "100")

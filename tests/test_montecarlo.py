@@ -114,6 +114,13 @@ class TestCatalog:
         with pytest.raises(ValueError, match="positive"):
             make_scenario("B5", snr=-1.0)
 
+    def test_kmax_zero_rejected(self):
+        # k_max=0 used to fall back to the default of 8
+        for name, knobs in [("A", {"dist": "t3", "N": 20, "T": 20}), ("C1", {"N": 20, "T": 20}),
+                            ("C4", {})]:
+            with pytest.raises(ValueError, match="k_max must be >= 1"):
+                make_scenario(name, k_max=0, **knobs)
+
 
 class TestGeneratePanel:
     def test_collapses_to_static_factor_model_without_dynamics(self):

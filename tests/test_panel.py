@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustfactors.panel import DataPanel, double_demean, impute_column_mean, ingest_csv
@@ -12,6 +14,118 @@ def write_csv(tmp_path, text, name="panel.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def reference_ingest_csv(path, has_header=True, has_time_column=False):
+    """The cell-by-cell parser that ingest_csv replaced, kept as its oracle."""
+    rows, mask_rows, labels = [], [], []
+    width = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for lineno, record in enumerate(reader, start=1):
+            if has_header and lineno == 1:
+                continue
+            if has_time_column:
+                if not record:
+                    raise ValueError(f"{path}: row {lineno} is empty")
+                labels.append(record[0])
+                record = record[1:]
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(record)} columns, expected {width}"
+                )
+            vals, miss = [], []
+            for colno, cell in enumerate(record, start=1):
+                token = cell.strip()
+                if token.lower() in {"", "na", "nan"}:
+                    vals.append(np.nan)
+                    miss.append(True)
+                    continue
+                try:
+                    x = float(token)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: cannot parse cell at row {lineno}, column {colno}: {cell!r}"
+                    ) from None
+                if not np.isfinite(x):
+                    raise ValueError(
+                        f"{path}: non-finite value at row {lineno}, column {colno}"
+                    )
+                vals.append(x)
+                miss.append(False)
+            rows.append(vals)
+            mask_rows.append(miss)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if width is None or width < 2:
+        raise ValueError(f"{path}: need at least 2 columns, got {width or 0}")
+    values = np.array(rows, dtype=np.float64)
+    mask = np.array(mask_rows, dtype=bool)
+    return DataPanel(values, time_labels=labels if has_time_column else None, missing_mask=mask)
+
+
+def parse_outcome(parser, path, has_header, has_time_column):
+    """("ok", value bytes, mask bytes, shape, labels) or ("error", message)."""
+    try:
+        panel = parser(path, has_header=has_header, has_time_column=has_time_column)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", panel.values.view(np.int64).tobytes(), panel.missing_mask.tobytes(),
+            panel.shape, panel.time_labels)
+
+
+MISSING_SPELLINGS = ["", "  ", "NA", "na", "NaN", " nan "]
+EDGE_NUMBERS = ["5e-324", "1.7976931348623157e308", "-0.0", "0.10000000000000001",
+                "-1.2345678901234567e-300", " 7 ", "1_000", "\u00a02\u00a0", "\x1c3"]
+BAD_TOKENS = ["inf", "-Infinity", "+nan", "1e999", "-nan", "oops", "1,5", "--1"]
+
+
+@st.composite
+def cell_tokens(draw):
+    """Mostly clean numbers; about one cell in ten missing, one in 25 bad."""
+    bucket = draw(st.integers(0, 99))
+    if bucket < 10:
+        return draw(st.sampled_from(MISSING_SPELLINGS))
+    if bucket < 16:
+        return draw(st.sampled_from(EDGE_NUMBERS))
+    if bucket < 20:
+        return draw(st.sampled_from(BAD_TOKENS))
+    if bucket < 30:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        x = draw(st.floats(-1e6, 1e6))
+    return draw(st.sampled_from([repr, "{:.17g}".format]))(x)
+
+
+def render_cell(token, quoted):
+    if quoted or any(ch in token for ch in ',"\r\n'):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+@st.composite
+def csv_inputs(draw):
+    """(text, has_header, has_time_column): small CSVs with missing, bad, ragged and empty rows."""
+    has_header = draw(st.booleans())
+    has_time_column = draw(st.booleans())
+    width = draw(st.integers(1, 5))
+    n_lines = draw(st.integers(2, 8))
+    lines = []
+    for lineno in range(1, n_lines + 1):
+        if lineno > 1 and draw(st.integers(0, 29)) == 0:
+            lines.append("")  # an empty record
+            continue
+        n = width + draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 19)) == 0 else width
+        if has_header and lineno == 1:
+            cells = [f"s{j}" for j in range(n)]
+        else:
+            cells = [draw(cell_tokens()) for _ in range(n)]
+        if has_time_column:
+            cells.insert(0, draw(st.sampled_from(["2001-01", "t,1", " x ", ""])))
+        lines.append(",".join(render_cell(c, draw(st.booleans())) for c in cells))
+    return "\n".join(lines) + "\n", has_header, has_time_column
 
 
 class TestIngest:
@@ -72,6 +186,61 @@ class TestIngest:
         with pytest.raises(OSError, match="nope.csv"):
             ingest_csv(tmp_path / "nope.csv")
 
+
+class TestIngestOracle:
+    """ingest_csv gives the bytes, mask, labels and errors of the cell-by-cell parser."""
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle")
+
+    def assert_same(self, path, has_header, has_time_column):
+        new = parse_outcome(ingest_csv, path, has_header, has_time_column)
+        ref = parse_outcome(reference_ingest_csv, path, has_header, has_time_column)
+        assert new == ref
+        return new
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_inputs())
+    @example(case=("1,2\n3,4,x\n", False, False))
+    def test_matches_reference(self, csv_dir, case):
+        text, has_header, has_time_column = case
+        path = csv_dir / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        self.assert_same(path, has_header, has_time_column)
+
+    @pytest.mark.parametrize("bad", ["inf", "-Infinity", "+nan", "1e999"])
+    def test_non_finite_reported_before_a_later_unparseable_cell(self, tmp_path, bad):
+        path = write_csv(tmp_path, f"a,b,c\n1,2,3\n4,{bad},oops\n")
+        outcome = self.assert_same(path, True, False)
+        assert outcome == ("error", f"{path}: non-finite value at row 3, column 2")
+
+    def test_unparseable_reported_before_a_later_non_finite_cell(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,c\n1,2,3\n4,oops,inf\n")
+        outcome = self.assert_same(path, True, False)
+        assert outcome == ("error", f"{path}: cannot parse cell at row 3, column 2: 'oops'")
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("has_time_column", [False, True])
+    def test_every_missing_spelling_and_edge_number(self, tmp_path, has_header, has_time_column):
+        cells = MISSING_SPELLINGS + EDGE_NUMBERS
+        row = ",".join(['"' + c + '"' for c in cells])
+        if has_time_column:
+            row = "2001-01," + row
+        header = "h\n" if has_header else ""
+        path = write_csv(tmp_path, f"{header}{row}\n{row}\n")
+        outcome = self.assert_same(path, has_header, has_time_column)
+        assert outcome[0] == "ok"
+        assert outcome[3] == (2, len(cells))
+        values = np.frombuffer(outcome[1], dtype=np.float64)[:len(MISSING_SPELLINGS) + 3]
+        assert np.isnan(values[:len(MISSING_SPELLINGS)]).all()
+        assert values[-3:].tolist() == [5e-324, 1.7976931348623157e308, 0.0]
+        assert np.signbit(values[-1])
+
+    def test_empty_row_with_time_column(self, tmp_path):
+        path = write_csv(tmp_path, "d,a,b\nx,1,2\n\ny,3,4\n")
+        outcome = self.assert_same(path, True, True)
+        assert outcome == ("error", f"{path}: row 3 is empty")
 
 class TestDataPanel:
     def test_requires_2d(self):
