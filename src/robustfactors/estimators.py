@@ -161,33 +161,49 @@ def estimate_many(
     """Run several configurations on one panel, sharing matrix work.
 
     The Kendall's tau matrix and the covariance Gram matrix are each built at
-    most once per demeaning mode; eigendecompositions are shared across every
-    config that needs them, which makes k_max and c sweeps nearly free.
+    most once per demeaning mode, and each regularized spectrum once per
+    (matrix, c); configs that differ only in k_max, allow_zero or the
+    criterion share them, which makes k_max sweeps nearly free.
     """
+    return _estimate_many(panel, configs, kendall=lambda demean: None)
+
+
+def _estimate_many(panel: DataPanel, configs, kendall) -> dict[str, EstimationResult]:
+    """:func:`estimate_many`, taking the Kendall's tau matrix of each demeaning mode
+    from ``kendall(demean)``; where that returns None, the matrix is
+    :func:`sample_kendall_tau` of the demeaned panel."""
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
     T, N = panel.shape
     values_cache: dict[str, np.ndarray] = {}
     raw_cache: dict[tuple[str, str], np.ndarray] = {}
+    spectra: dict[tuple[str, str, float], EigenSpectrum] = {}
     results: dict[str, EstimationResult] = {}
+
+    def demeaned(mode: str) -> np.ndarray:
+        if mode not in values_cache:
+            values_cache[mode] = _demeaned_values(panel, mode)
+        return values_cache[mode]
+
     for name, config in configs.items():
         if min(N, T) < config.k_max + 2:
             raise ValueError(
                 f"panel too small: min(N, T) = {min(N, T)} < k_max + 2 = {config.k_max + 2}"
             )
-        if config.demean not in values_cache:
-            values_cache[config.demean] = _demeaned_values(panel, config.demean)
-        Y = values_cache[config.demean]
         path = "kendall" if config.method in KENDALL_METHODS else "covariance"
         key = (path, config.demean)
         if key not in raw_cache:
             if path == "kendall":
-                kt = sample_kendall_tau(Y)
+                kt = kendall(config.demean)
+                if kt is None:
+                    kt = sample_kendall_tau(demeaned(config.demean))
                 raw_cache[key] = eigenvalues_sym(kt.matrix)
             else:
-                raw_cache[key] = gram_eigenvalues(Y)
-        spec = build_spectrum(raw_cache[key], N=N, T=T, c=config.c)
-        results[name] = _evaluate(spec, config)
+                raw_cache[key] = gram_eigenvalues(demeaned(config.demean))
+        skey = (*key, config.c)
+        if skey not in spectra:
+            spectra[skey] = build_spectrum(raw_cache[key], N=N, T=T, c=config.c)
+        results[name] = _evaluate(spectra[skey], config)
     return results
 
 

@@ -21,6 +21,9 @@ from .panel import DataPanel
 __all__ = [
     "KendallTauMatrix",
     "sample_kendall_tau",
+    "PairWeightBand",
+    "pair_weight_band",
+    "window_kendall_tau",
     "population_kendall_eigenvalues_oracle",
     "han_lower_bound",
     "save_matrix_binary",
@@ -38,6 +41,13 @@ _BLOCK_ENTRIES = 1 << 18
 # - 2 z_i.z_j is at most this share of |z_i|^2 + |z_j|^2: the subtraction then
 # loses about log2(1/_FIXUP_TAU) = 10 bits, which the direct difference does not.
 _FIXUP_TAU = 2.0**-10
+# Pairs with a Gram distance at most this small are summed directly too: their
+# weight 1/s_ij, and the sums of such weights, would overflow. Only rows within
+# about 2^-500 of the median, in units of the panel's peak, form such pairs.
+_FIXUP_FLOOR = 2.0**-1000
+# A row window takes its weights from a band shared with other windows only
+# when each of its rows peaks within 2^_SHARED_RANGE_BITS of the panel's peak.
+_SHARED_RANGE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -74,15 +84,68 @@ def _panel_values(panel) -> np.ndarray:
     return values
 
 
+def _frame(Y: np.ndarray) -> np.ndarray:
+    """Y times the power of two that brings its largest magnitude into [1/2, 1),
+    centered by its coordinatewise median.
+
+    The scaling is exact and the shift cancels in every row difference, so
+    neither moves the Kendall matrix; together they keep every entry at most 2
+    in magnitude and the Gram distances clear of overflow and of cancellation.
+    """
+    peak = np.abs(Y).max(initial=0.0)  # nan or inf if any entry is
+    if not np.isfinite(peak):
+        raise ValueError("panel has non-finite entries")
+    Z = np.ldexp(Y, -int(np.frexp(peak)[1]))
+    T = Z.shape[0]
+    ranked = np.sort(Z, axis=0)  # np.median would import numpy.ma on first use, ~15 ms
+    Z -= 0.5 * (ranked[(T - 1) // 2] + ranked[T // 2])
+    return Z
+
+
+def _block_weights(Zb, Zc, sqb, sqc, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the pairs marked in ``pairs`` between the rows of Zb and of Zc.
+
+    A pair (i, j) gets w_ij = 1/s_ij from its Gram distance
+    s_ij = |z_i|^2 + |z_j|^2 - 2 z_i.z_j (``sqb`` and ``sqc`` hold the squared
+    norms), unless the subtraction cancels (see ``_FIXUP_TAU``). Such a pair
+    gets weight 0 and is marked in the returned mask, to be summed directly
+    (see :func:`_direct_pairs`); so is a pair with s_ij <= ``_FIXUP_FLOOR``.
+    """
+    s = Zb @ Zc.T
+    s *= -2.0
+    s += sqb[:, None]
+    s += sqc[None, :]
+    lim = np.add.outer(sqb, sqc)
+    lim *= _FIXUP_TAU
+    np.maximum(lim, _FIXUP_FLOOR, out=lim)
+    fix = pairs & (s <= lim)
+    W = np.divide(1.0, s, out=np.zeros_like(s), where=pairs & ~fix)
+    return W, fix
+
+
+def _direct_pairs(Zb, Zc, fix):
+    """Block row, block column, D and |D|^2 of each pair marked in ``fix``.
+
+    D is z_i - z_j times the power of two that brings its largest magnitude
+    into [1/2, 1). That leaves outer(D, D)/|D|^2 unchanged to the bit and
+    keeps |D|^2 from underflowing, so a pair is dropped only when its rows
+    are equal: the last item marks the pairs kept.
+    """
+    rows, cols = np.nonzero(fix)
+    D = Zb[rows] - Zc[cols]
+    D = np.ldexp(D, -np.frexp(np.abs(D).max(axis=1, initial=0.0))[1][:, None])
+    d2 = np.einsum("ij,ij->i", D, D)
+    return rows, cols, D, d2, d2 > 0.0
+
+
 def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Sum of outer(d, d)/|d|^2 over the row pairs of Z, plus dropped and direct counts.
 
-    Z is rescaled and median-centered, so every entry is at most 2 in
-    magnitude. With w_ij = 1/|z_i - z_j|^2 on i < j, the sum equals
-    Z^T diag(deg) Z - (Z^T W Z + its transpose), deg_i being the total weight
-    of the pairs that contain row i. Row blocks of W are built from the Gram
-    product; pairs whose Gram distance cancels (see ``_FIXUP_TAU``) are taken
-    out of W and added directly, and exactly equal rows are dropped.
+    Z comes from :func:`_frame`. With w_ij = 1/|z_i - z_j|^2 on i < j, the sum
+    equals Z^T diag(deg) Z - (Z^T W Z + its transpose), deg_i being the total
+    weight of the pairs that contain row i. Row blocks of W come from
+    :func:`_block_weights`; the pairs it leaves out are added directly, and
+    exactly equal rows are dropped.
     """
     T, N = Z.shape
     sq = np.einsum("ij,ij->i", Z, Z)
@@ -96,29 +159,30 @@ def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
         b = min(a + step, T - 1)
         Zb, Zc = Z[a:b], Z[a:]
         # block rows i in [a, b) against columns j in [a, T); only j > i are pairs
-        s = Zb @ Zc.T
-        s *= -2.0
-        s += sq[a:b, None]
-        s += sq[None, a:]
-        lim = np.add.outer(sq[a:b], sq[a:])
-        lim *= _FIXUP_TAU
         upper = np.arange(T - a)[None, :] > np.arange(b - a)[:, None]
-        fix = upper & (s <= lim)
-        W = np.divide(1.0, s, out=np.zeros_like(s), where=upper & ~fix)
+        W, fix = _block_weights(Zb, Zc, sq[a:b], sq[a:], upper)
         deg[a:b] += W.sum(axis=1)
         deg[a:] += W.sum(axis=0)
         cross += Zb.T @ (W @ Zc)
-        rows, cols = np.nonzero(fix)
-        if rows.size:
-            D = Zb[rows] - Zc[cols]
-            d2 = np.einsum("ij,ij->i", D, D)
-            keep = d2 > 0.0
-            D, d2 = D[keep], d2[keep]
+        if fix.any():
+            rows, _, D, d2, kept = _direct_pairs(Zb, Zc, fix)
+            D, d2 = D[kept], d2[kept]
             dropped += rows.size - d2.size
             n_direct += d2.size
             direct += D.T @ (D / d2[:, None])
     total = (Z.T * deg) @ Z - (cross + cross.T) + direct
     return 0.5 * (total + total.T), dropped, n_direct
+
+
+def _average(total: np.ndarray, T: int, dropped: int, n_direct: int) -> KendallTauMatrix:
+    """The pair sum of T rows divided by its retained pair count."""
+    n_pairs = T * (T - 1) // 2 - dropped
+    if n_pairs == 0:
+        raise ValueError("all row pairs are degenerate (constant panel)")
+    return KendallTauMatrix(
+        matrix=total / n_pairs, n_pairs=n_pairs, degenerate_pairs_dropped=dropped,
+        direct_pairs=n_direct,
+    )
 
 
 def sample_kendall_tau(panel) -> KendallTauMatrix:
@@ -147,20 +211,154 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
     T = Y.shape[0]
     if T < 2:
         raise ValueError("need at least two rows to form pairs")
-    peak = np.abs(Y).max(initial=0.0)  # nan or inf if any entry is
-    if not np.isfinite(peak):
-        raise ValueError("panel has non-finite entries")
-    Z = np.ldexp(Y, -int(np.frexp(peak)[1]))
-    ranked = np.sort(Z, axis=0)  # np.median would import numpy.ma on first use, ~15 ms
-    Z -= 0.5 * (ranked[(T - 1) // 2] + ranked[T // 2])
-    total, dropped, n_direct = _pair_sum(Z)
-    n_pairs = T * (T - 1) // 2 - dropped
-    if n_pairs == 0:
-        raise ValueError("all row pairs are degenerate (constant panel)")
-    return KendallTauMatrix(
-        matrix=total / n_pairs, n_pairs=n_pairs, degenerate_pairs_dropped=dropped,
-        direct_pairs=n_direct,
+    total, dropped, n_direct = _pair_sum(_frame(Y))
+    return _average(total, T, dropped, n_direct)
+
+
+@dataclass(frozen=True)
+class PairWeightBand:
+    """Pair weights of the rows of a panel that are fewer than ``window`` rows apart.
+
+    Built once by :func:`pair_weight_band`; :func:`window_kendall_tau` reads
+    the Kendall matrix of each run of ``window`` consecutive rows from it.
+
+    Attributes
+    ----------
+    Z : np.ndarray
+        T x N panel after :func:`_frame`.
+    weights : np.ndarray
+        T x (2 window - 1); ``weights[i, window - 1 + k]`` is w_{i, i+k}, zero
+        for k = 0, for rows outside the panel and for the pairs below.
+    window : int
+        Rows per window.
+    pair_rows, pair_cols : np.ndarray
+        Rows i < j of the pairs summed directly or dropped.
+    pair_diffs, pair_sq : np.ndarray
+        Their z_i - z_j, scaled by a power of two (see :func:`_direct_pairs`),
+        and its squared norm; a pair with norm 0 is dropped.
+    far_rows : np.ndarray
+        far_rows[t] counts the rows before t whose peak lies more than
+        2^_SHARED_RANGE_BITS below the panel's.
+    """
+
+    Z: np.ndarray
+    weights: np.ndarray
+    window: int
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    pair_diffs: np.ndarray
+    pair_sq: np.ndarray
+    far_rows: np.ndarray
+
+    def covers(self, start: int) -> bool:
+        """Whether the window of rows start, ..., start + window - 1 may use the band.
+
+        It may when each of its rows peaks within 2^_SHARED_RANGE_BITS of the
+        panel's peak. A window with a row further below, such as one across a
+        regime change by many orders of magnitude, is better served by its
+        own rescale and centering: its matrix should come from
+        :func:`sample_kendall_tau`.
+        """
+        return self.far_rows[start + self.window] == self.far_rows[start]
+
+
+def _flat_view(weights: np.ndarray, offset: int, shape, steps) -> np.ndarray:
+    """View whose (r, q) entry is entry offset + r steps[0] + q steps[1] of weights' flat storage.
+
+    With L = weights.shape[1], steps (L - 1, 1) read row i + r at column
+    c + q - r, for offset = i L + c: entries that lie along a diagonal of the
+    pair-weight matrix lie down a column of the band. numpy rejects a view
+    that would reach outside the array.
+    """
+    size = weights.itemsize
+    return np.ndarray(
+        shape, dtype=weights.dtype, buffer=weights, offset=offset * size,
+        strides=(steps[0] * size, steps[1] * size),
     )
+
+
+def pair_weight_band(panel, window: int) -> PairWeightBand:
+    """Weights w_ij = 1/|z_i - z_j|^2 of every row pair with 0 < j - i < window, once.
+
+    The panel is rescaled and median-centered once, as in
+    :func:`sample_kendall_tau`, and the weights are built in row blocks from
+    the same Gram distances, with the same pairs summed directly and the same
+    equal rows dropped. Memory is O(T window), not O(T^2).
+
+    Parameters
+    ----------
+    panel : DataPanel or np.ndarray
+        T x N observations, no missing values.
+    window : int
+        2 <= window <= T.
+    """
+    Y = _panel_values(panel)
+    T = Y.shape[0]
+    if not 2 <= window <= T:
+        raise ValueError(f"window must be in [2, {T}], got {window}")
+    Z = _frame(Y)
+    row_peak = np.abs(Y).max(axis=1)
+    low = np.frexp(row_peak.max())[1] - _SHARED_RANGE_BITS
+    far = (row_peak > 0.0) & (np.frexp(row_peak)[1] < low)
+    L = 2 * window - 1
+    weights = np.zeros((T, L))
+    sq = np.einsum("ij,ij->i", Z, Z)
+    pairs_out = []
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // window))
+    for a in range(0, T - 1, step):
+        b = min(a + step, T - 1)
+        c = min(b + window - 1, T)
+        # block rows i in [a, b) against columns j in [a, c); pairs have 0 < j - i < window
+        gap = np.arange(c - a)[None, :] - np.arange(b - a)[:, None]
+        band = (gap > 0) & (gap < window)
+        W, fix = _block_weights(Z[a:b], Z[a:c], sq[a:b], sq[a:c], band)
+        # w_ij goes to weights[i, window - 1 + (j - i)] and to weights[j, window - 1 - (j - i)]
+        base = a * L + window - 1
+        np.copyto(_flat_view(weights, base, (b - a, c - a), (L - 1, 1)), W, where=band)
+        np.copyto(_flat_view(weights, base, (b - a, c - a), (1, L - 1)), W, where=band)
+        if fix.any():
+            rows, cols, D, d2, _ = _direct_pairs(Z[a:b], Z[a:c], fix)
+            pairs_out.append((a + rows, a + cols, D, d2))
+    if pairs_out:
+        pair_rows, pair_cols, pair_diffs, pair_sq = (np.concatenate(x) for x in zip(*pairs_out))
+    else:
+        pair_rows = pair_cols = np.zeros(0, dtype=np.intp)
+        pair_diffs, pair_sq = np.zeros((0, Z.shape[1])), np.zeros(0)
+    return PairWeightBand(
+        Z=Z, weights=weights, window=window, pair_rows=pair_rows, pair_cols=pair_cols,
+        pair_diffs=pair_diffs, pair_sq=pair_sq, far_rows=np.concatenate(([0], np.cumsum(far))),
+    )
+
+
+def window_kendall_tau(band: PairWeightBand, start: int) -> KendallTauMatrix:
+    """Kendall's tau matrix of rows start, ..., start + window - 1, from the band.
+
+    With W_w the window's block of pair weights and deg_w its row sums, the
+    pair sum is Z_w^T (deg_w Z_w - W_w Z_w) plus the window's direct pairs:
+    two GEMMs, against the Gram product, masks and division that
+    :func:`sample_kendall_tau` spends on every window. Where
+    :meth:`PairWeightBand.covers` holds, it agrees with
+    :func:`sample_kendall_tau` on the window's rows to rounding: 1e-15 per
+    entry in the tests.
+    """
+    w = band.window
+    T = band.Z.shape[0]
+    if not 0 <= start <= T - w:
+        raise ValueError(f"window start must be in [0, {T - w}], got {start}")
+    stop = start + w
+    L = 2 * w - 1
+    Ww = _flat_view(band.weights, start * L + w - 1, (w, w), (L - 1, 1))  # W_w, no copy
+    Zw = band.Z[start:stop]
+    total = Zw.T @ (Ww.sum(axis=1)[:, None] * Zw - Ww @ Zw)
+    dropped = n_direct = 0
+    if band.pair_rows.size:
+        inside = (band.pair_rows >= start) & (band.pair_cols < stop)
+        D, d2 = band.pair_diffs[inside], band.pair_sq[inside]
+        kept = d2 > 0.0
+        D, d2 = D[kept], d2[kept]
+        dropped, n_direct = int(kept.size - d2.size), int(d2.size)
+        total += D.T @ (D / d2[:, None])
+    return _average(0.5 * (total + total.T), w, dropped, n_direct)
 
 
 def verify_kendall_invariants(kt: KendallTauMatrix) -> None:

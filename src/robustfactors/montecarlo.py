@@ -220,23 +220,19 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
 
     J, beta, rho = spec.J, spec.beta, spec.rho
     if J > 0:
-        csum = np.cumsum(V, axis=1)
-        win = np.empty_like(V)
-        for i in range(N):
-            hi = min(i + J, N - 1)
-            lo = i - J
-            win[:, i] = csum[:, hi] - (csum[:, lo - 1] if lo > 0 else 0.0)
+        # win[:, i] = V[:, max(i - J, 0)] + ... + V[:, min(i + J, N - 1)], from one
+        # cumulative sum with a leading zero column
+        csum = np.zeros((n_draws, N + 1))
+        np.cumsum(V, axis=1, out=csum[:, 1:])
+        idx = np.arange(N)
+        win = csum[:, np.minimum(idx + J + 1, N)] - csum[:, np.maximum(idx - J, 0)]
     else:
         win = V
     W = (1.0 - beta) * V + beta * win
 
-    E = np.empty((T, N))
-    e_prev = np.zeros(N)
-    for t in range(n_draws):
-        e_prev = rho * e_prev + W[t]
-        if t >= spec.burn_in:
-            E[t - spec.burn_in] = e_prev
-    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * E
+    for t in range(1, n_draws):  # AR(1) in place: W[t] becomes e_t
+        W[t] += rho * W[t - 1]
+    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * W[spec.burn_in :]
 
     loadings = stream.generator(2).standard_normal((N, r))
     Y = F @ loadings.T + np.sqrt(spec.theta) * u

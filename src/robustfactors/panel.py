@@ -52,7 +52,7 @@ class DataPanel:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (T, N):
                 raise ValueError("missing_mask shape must match values")
-        if not np.all(np.isfinite(values[~mask])):
+        if not (np.isfinite(values) | mask).all():
             raise ValueError("non-missing panel cells must be finite")
         if self.time_labels is not None and len(self.time_labels) != T:
             raise ValueError("time_labels length must equal row count")
@@ -166,12 +166,11 @@ def impute_column_mean(panel: DataPanel) -> DataPanel:
         return DataPanel(panel.values.copy(), panel.time_labels)
     values = panel.values.copy()
     mask = panel.missing_mask
-    for j in range(values.shape[1]):
+    for j in np.flatnonzero(mask.any(axis=0)):
         col_missing = mask[:, j]
         if col_missing.all():
             raise ValueError(f"column {j} is entirely missing; cannot impute")
-        if col_missing.any():
-            values[col_missing, j] = values[~col_missing, j].mean()
+        values[col_missing, j] = values[~col_missing, j].mean()
     return DataPanel(values, panel.time_labels)
 
 

@@ -6,7 +6,8 @@ import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .estimators import estimate_many
+from .estimators import KENDALL_METHODS, _estimate_many
+from .kendall import pair_weight_band, window_kendall_tau
 from .panel import DataPanel
 
 __all__ = ["RollingResult", "rolling_estimate", "write_rolling_csv"]
@@ -41,6 +42,10 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     window, window + 1, ..., T (1-based), giving T - window + 1 entries per
     method; each window is demeaned on its own per the configs. start_index
     is the 1-based time index of the first full window's endpoint.
+
+    The Kendall matrices of all windows come from one
+    :func:`~robustfactors.kendall.pair_weight_band` per demeaning mode; see
+    :func:`~robustfactors.kendall.window_kendall_tau`.
     """
     if panel.has_missing:
         raise ValueError("panel has missing entries; impute before rolling estimation")
@@ -53,17 +58,37 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     if window < need:
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
 
+    # One band of pair weights per demeaning mode serves every window. Double
+    # demeaning a window subtracts each row's mean, which does not depend on
+    # the window, and then a column shift, which cancels in every row
+    # difference; so the row-demeaned panel stands in for it.
+    values = panel.values
+    modes = {cfg.demean for cfg in configs.values() if cfg.method in KENDALL_METHODS}
+    bands = {
+        mode: pair_weight_band(
+            values - values.mean(axis=1, keepdims=True) if mode == "double" else values,
+            window,
+        )
+        for mode in sorted(modes)
+    }
     labels = panel.time_labels
     series: list[tuple[str, str, int]] = []
     n_windows = T - window + 1
-    for end in range(window - 1, T):
-        sub = DataPanel(panel.values[end - window + 1 : end + 1])
-        results = estimate_many(sub, configs)
+    for start in range(n_windows):
+        end = start + window - 1
+        results = _estimate_many(
+            DataPanel(values[start : end + 1]),
+            configs,
+            # None sends a window the shared weights cannot represent to sample_kendall_tau
+            kendall=lambda mode: (
+                window_kendall_tau(bands[mode], start) if bands[mode].covers(start) else None
+            ),
+        )
         label = labels[end] if labels is not None else str(end + 1)
         for name, res in results.items():
             series.append((label, name, res.r_hat))
         if progress is not None:
-            progress(end - window + 2, n_windows)
+            progress(start + 1, n_windows)
     return RollingResult(
         series=series, window=window, start_index=window, methods=tuple(configs)
     )

@@ -219,6 +219,33 @@ class TestEndToEnd:
         out = estimate_many(panel, configs)
         assert {res.r_hat for res in out.values()} == {1}
 
+    def test_one_spectrum_per_matrix_and_c(self, rng, monkeypatch):
+        import robustfactors.estimators as est
+
+        panel = factor_panel(rng, 60, 40, r=2)
+        configs = {m: EstimatorConfig(method=m) for m in ("mker", "mktcr", "er", "gr", "tcr")}
+        configs |= {
+            "mker_k3": EstimatorConfig(method="mker", k_max=3),
+            "er_c": EstimatorConfig(method="er", c=0.1),
+            "mker_none": EstimatorConfig(method="mker", demean="none"),
+        }
+        calls = []
+        build = est.build_spectrum
+        monkeypatch.setattr(
+            est, "build_spectrum", lambda *a, **kw: calls.append(kw["c"]) or build(*a, **kw)
+        )
+        joint = estimate_many(panel, configs)
+        # (kendall, double, 0.01), (covariance, double, 0.01), (covariance, double, 0.1),
+        # (kendall, none, 0.01)
+        assert len(calls) == 4
+        assert joint["mker"].spectrum is joint["mktcr"].spectrum is joint["mker_k3"].spectrum
+        assert joint["er"].spectrum is joint["gr"].spectrum is joint["tcr"].spectrum
+        monkeypatch.undo()
+        for name, cfg in configs.items():
+            solo = estimate(panel, cfg)
+            assert joint[name].r_hat == solo.r_hat
+            assert joint[name].ratio_series.tobytes() == solo.ratio_series.tobytes()
+
     def test_small_panel_guard(self, rng):
         panel = noise_panel(rng, 8, 40)
         with pytest.raises(ValueError, match="too small"):

@@ -153,6 +153,7 @@ _THREADS_SCRIPT = """
 import json, sys
 import numpy as np
 from robustfactors import DataPanel, estimate_many, method_configs, sample_kendall_tau
+from robustfactors.kendall import pair_weight_band, window_kendall_tau
 gen = np.random.default_rng(5)
 shapes = [(300, 128, 2.0), (708, 40, 3.0), (97, 11, 1.0)]  # T, N, t degrees of freedom
 panels = [3.0 * gen.standard_normal((T, 3)) @ gen.standard_normal((3, N))
@@ -161,6 +162,7 @@ out = []
 for Y in panels:
     res = estimate_many(DataPanel(Y), method_configs(None))
     out.append({"matrix": sample_kendall_tau(Y).matrix.tobytes().hex(),
+                "window": window_kendall_tau(pair_weight_band(Y, 60), 30).matrix.tobytes().hex(),
                 "r_hat": {m: r.r_hat for m, r in res.items()}})
 json.dump(out, sys.stdout)
 """
@@ -191,8 +193,9 @@ class TestDeterminism:
         one, two = run_with_blas_threads(1), run_with_blas_threads(2)
         for a, b in zip(one, two):
             assert a["r_hat"] == b["r_hat"]
-            ma, mb = (np.frombuffer(bytes.fromhex(x["matrix"])) for x in (a, b))
-            assert np.abs(ma - mb).max() <= 1e-15
+            for key in ("matrix", "window"):
+                ma, mb = (np.frombuffer(bytes.fromhex(x[key])) for x in (a, b))
+                assert np.abs(ma - mb).max() <= 1e-15
 
 
 class TestScaleInvariance:
@@ -226,6 +229,17 @@ class TestScaleInvariance:
 
 
 class TestDegeneratePairs:
+    def test_rows_far_below_the_peak_keep_their_pairs(self):
+        # |z_i - z_j|^2 of the small rows is below 2^-1024 in units of the peak:
+        # their weights overflowed and their direct |D|^2 underflowed to zero
+        Y = t_factor_panel(3.0, seed=17, T=60, N=20, r=2)
+        Y[:30] *= 1e86
+        Y[30:] *= 1e-72
+        kt = sample_kendall_tau(Y)
+        verify_kendall_invariants(kt)
+        assert kt.n_pairs == 60 * 59 // 2
+        assert float(np.abs(kt.matrix - enumerate_rows(Y, np.longdouble)[0]).max()) <= 1e-15
+
     def test_duplicate_rows_dropped_and_counted(self):
         Y = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
         kt = sample_kendall_tau(Y)

@@ -7,7 +7,10 @@ import pytest
 
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_gaussian
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig
+from robustfactors.elliptical import sample_student_t
 from robustfactors.montecarlo import (
+    _DIST_PARAMS,
+    _scatter,
     CellStats,
     ScenarioSpec,
     format_report_table,
@@ -28,6 +31,43 @@ def plain_spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def loop_generate_panel(spec, replication, rng):
+    """generate_panel as it was written with per-series and per-step Python loops."""
+    stream = RngStream(rng.master_seed, rng.stream_index + replication)
+    N, T, r = spec.N, spec.T, spec.r
+    q = N + r
+    family, nu = _DIST_PARAMS[spec.dist]
+    scatter_factor = np.diag(np.sqrt(_scatter(spec)))
+    espec = EllipticalSpec(family=family, mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
+    n_draws = T + spec.burn_in
+    if family == "gaussian":
+        X = sample_gaussian(espec, n_draws, stream)
+    else:
+        X = sample_student_t(espec, n_draws, stream)
+    F = X[spec.burn_in:, :r]
+    V = X[:, r:]
+    J, beta, rho = spec.J, spec.beta, spec.rho
+    if J > 0:
+        csum = np.cumsum(V, axis=1)
+        win = np.empty_like(V)
+        for i in range(N):
+            hi = min(i + J, N - 1)
+            lo = i - J
+            win[:, i] = csum[:, hi] - (csum[:, lo - 1] if lo > 0 else 0.0)
+    else:
+        win = V
+    W = (1.0 - beta) * V + beta * win
+    E = np.empty((T, N))
+    e_prev = np.zeros(N)
+    for t in range(n_draws):
+        e_prev = rho * e_prev + W[t]
+        if t >= spec.burn_in:
+            E[t - spec.burn_in] = e_prev
+    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * E
+    loadings = stream.generator(2).standard_normal((N, r))
+    return F @ loadings.T + np.sqrt(spec.theta) * u
 
 
 class TestScenarioSpec:
@@ -162,6 +202,23 @@ class TestGeneratePanel:
         loadings = stream.generator(2).standard_normal((N, spec.r))
         expected = F @ loadings.T + u
         np.testing.assert_allclose(panel.values, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, knobs",
+        [
+            ("C1", {"N": 100, "T": 100}),
+            ("C3", {"snr": 2.0}),
+            ("A", {"dist": "cauchy", "N": 60, "T": 60}),
+            ("B1", {"N": 80, "T": 60}),
+            ("B5", {"snr": 3.0}),
+        ],
+    )
+    def test_bytes_match_the_per_step_loops(self, name, knobs):
+        spec = make_scenario(name, **knobs)
+        base = RngStream(23, 4)
+        for k in range(30):
+            got = generate_panel(spec, k, base).values
+            assert np.array_equal(got.view(np.int64), loop_generate_panel(spec, k, base).view(np.int64))
 
     def test_idiosyncratic_variance_is_standardized(self):
         spec = plain_spec(name="var", r=0, N=200, T=4000, rho=0.5, beta=0.2, J=10)

@@ -288,6 +288,24 @@ class TestImpute:
         with pytest.raises(ValueError, match="entirely missing"):
             impute_column_mean(DataPanel(values, missing_mask=mask))
 
+    def test_error_names_the_first_entirely_missing_column(self):
+        values = np.array([[1.0, np.nan, 5.0, np.nan], [np.nan, np.nan, 6.0, np.nan]])
+        with pytest.raises(ValueError, match="column 1 is entirely missing"):
+            impute_column_mean(DataPanel(values, missing_mask=np.isnan(values)))
+
+    def test_bytes_match_the_every_column_loop(self, rng):
+        for _ in range(20):
+            values = rng.standard_t(1.0, size=(40, 12))
+            mask = rng.random((40, 12)) < rng.uniform(0.0, 0.5)
+            mask[0] = False
+            expected = values.copy()
+            for j in range(12):
+                if mask[:, j].any():
+                    expected[mask[:, j], j] = values[~mask[:, j], j].mean()
+            values[mask] = np.nan
+            out = impute_column_mean(DataPanel(values, missing_mask=mask))
+            assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
+
     def test_labels_survive(self):
         values = np.array([[1.0, np.nan], [2.0, 4.0]])
         panel = DataPanel(values, time_labels=["a", "b"], missing_mask=np.isnan(values))

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_kendall import enumerate_rows, t_factor_panel
 
+import robustfactors.estimators as estimators
 from robustfactors.elliptical import RngStream
 from robustfactors.estimators import EstimatorConfig, estimate_many
-from robustfactors.montecarlo import generate_panel, make_scenario
-from robustfactors.panel import DataPanel
+from robustfactors.kendall import pair_weight_band, sample_kendall_tau, window_kendall_tau
+from robustfactors.montecarlo import generate_panel, make_scenario, method_configs
+from robustfactors.panel import DataPanel, double_demean
 from robustfactors.rolling import rolling_estimate, write_rolling_csv
 
 
@@ -141,3 +148,149 @@ class TestRollingCsv:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 5
+
+
+# the five default configs (double demeaning) plus one Kendall config without demeaning
+SHARED_CONFIGS = method_configs(None) | {
+    "mker_none": EstimatorConfig(method="mker", demean="none"),
+}
+
+KENDALL_CONFIGS = {m: SHARED_CONFIGS[m] for m in ("mker", "mktcr", "mker_none")}
+
+
+def row_demeaned(Y):
+    return Y - Y.mean(axis=1, keepdims=True)
+
+
+def window_inputs(Y, start, window):
+    """The window as each demeaning mode hands it to sample_kendall_tau."""
+    rows = Y[start : start + window]
+    return {"none": rows, "double": double_demean(DataPanel(rows)).values}
+
+
+def per_window_r_hat(Y, window, configs):
+    return [
+        {m: res.r_hat for m, res in estimate_many(DataPanel(Y[s : s + window]), configs).items()}
+        for s in range(Y.shape[0] - window + 1)
+    ]
+
+
+def rolling_r_hat(result):
+    return [dict(zip(result.methods, row[1:])) for row in result.rows()]
+
+
+class TestSharedPairWeights:
+    """Every window's Kendall matrix taken from one band of pair weights per demeaning mode."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0])  # t_0.5 and Cauchy
+    def test_every_window_matches_estimate_many(self, nu):
+        Y = t_factor_panel(nu, seed=5, T=120, N=30)
+        result = rolling_estimate(DataPanel(Y), 40, SHARED_CONFIGS)
+        assert rolling_r_hat(result) == per_window_r_hat(Y, 40, SHARED_CONFIGS)
+        for V in (Y, row_demeaned(Y)):  # every window took the shared band
+            assert all(pair_weight_band(V, 40).covers(s) for s in range(81))
+
+    def test_chunked_calls_match_one_call(self):
+        Y = t_factor_panel(3.0, seed=8, T=150, N=20)
+        labels = [f"t{i}" for i in range(150)]
+        full = rolling_estimate(DataPanel(Y, time_labels=labels), 40, SHARED_CONFIGS).series
+        chunks = []
+        for s in range(0, 111, 10):
+            stop = min(s + 10, 111) + 39
+            sub = DataPanel(Y[s:stop], time_labels=labels[s:stop])
+            chunks += rolling_estimate(sub, 40, SHARED_CONFIGS).series
+        assert chunks == full
+
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
+    def test_windows_match_extended_precision_enumeration(self, nu):
+        Y = t_factor_panel(nu, seed=11, T=300, N=40)
+        for mode, V in (("none", Y), ("double", row_demeaned(Y))):
+            band = pair_weight_band(V, 120)
+            for s in (0, 180):
+                exact = Y[s : s + 120].astype(np.longdouble)
+                if mode == "double":
+                    exact -= exact.mean(axis=1, keepdims=True)
+                kt = window_kendall_tau(band, s)
+                assert kt.direct_pairs == 0
+                err = float(np.abs(kt.matrix - enumerate_rows(exact, np.longdouble)[0]).max())
+                assert err <= 1e-15, (mode, s)
+
+    def test_near_duplicate_cluster_takes_the_direct_path(self, rng):
+        Y = rng.standard_normal((200, 30))
+        Y[60:90] = 1e4 * rng.standard_normal(30) + 10.0 * rng.standard_normal((30, 30))
+        band = pair_weight_band(Y, 80)
+        for s in (20, 50, 100):
+            kt = window_kendall_tau(band, s)
+            inside = max(0, min(s + 80, 90) - max(s, 60))
+            assert kt.direct_pairs == inside * (inside - 1) // 2
+            err = float(np.abs(kt.matrix - enumerate_rows(Y[s : s + 80], np.longdouble)[0]).max())
+            assert err <= 1e-15, s
+
+    def test_pair_counts_match_the_per_window_kernel(self, rng):
+        Y = rng.standard_t(2.0, size=(150, 12))
+        Y[30], Y[55], Y[56] = Y[10], Y[50], Y[50]  # dropped pairs
+        Y[90:100] = 1e4 * rng.standard_normal(12) + rng.standard_normal((10, 12))  # direct pairs
+        # With double demeaning the reference differs by up to 7e-15 here: double_demean
+        # adds column means of order 1e3 to every row, which rounds each window
+        # differently from the row-demeaned band.
+        for mode, V in (("none", Y), ("double", row_demeaned(Y))):
+            band = pair_weight_band(V, 50)
+            for s in range(101):
+                kt = window_kendall_tau(band, s)
+                ref = sample_kendall_tau(window_inputs(Y, s, 50)[mode])
+                got = (kt.n_pairs, kt.degenerate_pairs_dropped, kt.direct_pairs)
+                assert got == (ref.n_pairs, ref.degenerate_pairs_dropped, ref.direct_pairs)
+                if mode == "none":
+                    assert np.abs(kt.matrix - ref.matrix).max() <= 1e-15, s
+
+    REGIME_PANEL = t_factor_panel(3.0, seed=19, T=90, N=20, r=2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(-300, 300), min_size=3, max_size=3))
+    @example([0, 3, -4])  # every window shares the band
+    @example([300, 0, -300])  # none that straddles a break does
+    def test_regime_change_keeps_pairs_and_r_hat(self, exponents):
+        # Kendall methods only: the Gram baselines still overflow at these scales
+        # (ROADMAP open item 2), and they never read the band.
+        Y = self.REGIME_PANEL.copy()
+        for k, e in enumerate(exponents):
+            Y[30 * k : 30 * (k + 1)] *= 10.0**e
+        with mock.patch.object(
+            estimators, "sample_kendall_tau", wraps=estimators.sample_kendall_tau
+        ) as direct:
+            result = rolling_estimate(DataPanel(Y), 30, KENDALL_CONFIGS)
+        assert rolling_r_hat(result) == per_window_r_hat(Y, 30, KENDALL_CONFIGS)
+        fallbacks = 0
+        for mode, V in (("none", Y), ("double", row_demeaned(Y))):
+            band = pair_weight_band(V, 30)
+            row_exp = np.frexp(np.abs(V).max(axis=1))[1]
+            for s in range(61):
+                # a window shares the band unless one of its rows peaks more than
+                # 2^20 below the panel's peak
+                assert band.covers(s) == (row_exp[s : s + 30].min() >= row_exp.max() - 20)
+                if not band.covers(s):
+                    fallbacks += 1
+                    continue
+                ref = sample_kendall_tau(window_inputs(Y, s, 30)[mode])
+                assert window_kendall_tau(band, s).n_pairs == ref.n_pairs == 435
+        assert direct.call_count == fallbacks
+
+    def test_memory_is_banded(self, rng):
+        Y = rng.standard_normal((4000, 20))
+        tracemalloc.start()
+        try:
+            rolling_estimate(DataPanel(Y), 100, method_configs("mker"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the full 4000 x 4000 weights alone take 128 MB
+
+    def test_bounds_checked(self, rng):
+        Y = rng.standard_normal((20, 4))
+        with pytest.raises(ValueError, match="window must be in"):
+            pair_weight_band(Y, 21)
+        band = pair_weight_band(Y, 8)
+        with pytest.raises(ValueError, match="window start"):
+            window_kendall_tau(band, 13)
+        with pytest.raises(ValueError, match="degenerate"):
+            window_kendall_tau(pair_weight_band(np.ones((20, 4)), 8), 0)
