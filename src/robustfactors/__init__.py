@@ -20,21 +20,14 @@ from .estimators import (
     KENDALL_METHODS,
     EstimationResult,
     EstimatorConfig,
-    er_baseline,
     estimate,
     estimate_many,
-    gr_baseline,
-    mker,
-    mktcr,
-    tcr_baseline,
 )
 from .kendall import (
     KendallTauMatrix,
     han_lower_bound,
-    load_matrix_binary,
     population_kendall_eigenvalues_oracle,
     sample_kendall_tau,
-    save_matrix_binary,
     verify_kendall_invariants,
 )
 from .montecarlo import (
@@ -74,8 +67,6 @@ __all__ = [
     "verify_kendall_invariants",
     "population_kendall_eigenvalues_oracle",
     "han_lower_bound",
-    "save_matrix_binary",
-    "load_matrix_binary",
     "EigenSpectrum",
     "eigenvalues_sym",
     "build_spectrum",
@@ -85,11 +76,6 @@ __all__ = [
     "KENDALL_METHODS",
     "COVARIANCE_METHODS",
     "ALL_METHODS",
-    "mker",
-    "mktcr",
-    "er_baseline",
-    "gr_baseline",
-    "tcr_baseline",
     "estimate",
     "estimate_many",
     "ScenarioSpec",

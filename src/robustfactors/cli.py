@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -139,24 +140,9 @@ def _cmd_rolling(args) -> int:
     return 0
 
 
-_CATALOG_NOTES = {
-    "A": "r=3, iid errors; knobs: dist (required), N, T",
-    "B1": "r=3 gaussian, rho=0.5 beta=0.2 J=max(10,N/20); knobs: N, T",
-    "B2": "B1 with noise scale theta=6; knobs: N, T",
-    "B3": "B1 at N=T=100, third factor strength set by --snr",
-    "B4": "B1 at N=T=100 for k_max sweeps; knob: k_max",
-    "B5": "r=2 gaussian at N=T=100, first factor strength set by --snr",
-    "C1": "B1 with multivariate t3 draws; knobs: N, T",
-    "C2": "C1; knobs: N, T",
-    "C3": "B3 with t3 draws at N=T=150",
-    "C4": "B4 with t3 draws at N=T=150; knob: k_max",
-    "C5": "B5 with t3 draws at N=T=150",
-}
-
-
 def _cmd_catalog(args) -> int:
-    for name in scenario_catalog():
-        print(f"{name:<4} {_CATALOG_NOTES[name]}")
+    for name, build in scenario_catalog().items():
+        print(f"{name:<4} {build.__doc__}")
     return 0
 
 
@@ -174,12 +160,10 @@ def _cmd_selfcheck(args) -> int:
     Y = double_demean(panel).values
 
     kt = sample_kendall_tau(Y)
-    matrix = kt.matrix
     if args.corrupt:
-        matrix = matrix.copy()
+        matrix = kt.matrix.copy()
         matrix[0, 1] += 1e-3
-        kt = type(kt)(matrix=matrix, n_pairs=kt.n_pairs,
-                      degenerate_pairs_dropped=kt.degenerate_pairs_dropped)
+        kt = replace(kt, matrix=matrix)
     verify_kendall_invariants(kt)
     ok("kendall matrix invariants (symmetry, unit trace, psd)")
 
@@ -201,8 +185,9 @@ def _cmd_selfcheck(args) -> int:
 
     raw = eigenvalues_sym(kt.matrix)
     spec60 = build_spectrum(raw, panel.shape[1], panel.shape[0], c=0.05)
+    V = spec60.tail_sums
     for j in range(spec60.size - 1):
-        if abs(spec60.tail(j) - spec60.tail(j + 1) - spec60.regularized[j]) > 1e-12:
+        if abs(V[j] - V[j + 1] - spec60.regularized[j]) > 1e-12:
             raise InvariantError("tail sums fail the telescoping identity")
     ok("spectrum tail sums telescope")
 

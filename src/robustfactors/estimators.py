@@ -10,7 +10,7 @@ allowed, via the mock eigenvalue).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,6 @@ from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigen
 __all__ = [
     "EstimatorConfig",
     "EstimationResult",
-    "mker",
-    "mktcr",
-    "er_baseline",
-    "gr_baseline",
-    "tcr_baseline",
     "estimate",
     "estimate_many",
     "KENDALL_METHODS",
@@ -93,18 +88,11 @@ class EstimationResult:
     j_start: int
 
 
-def _criterion_value(spec: EigenSpectrum, method: str, j: int) -> float:
-    lam_j = spec.lam(j)
-    lam_next = spec.lam(j + 1)
-    if method in ("mker", "er"):
-        return lam_j / lam_next
-    if method in ("mktcr", "tcr"):
-        return math.log1p(lam_j / spec.tail(j - 1)) / math.log1p(lam_next / spec.tail(j))
-    # growth ratio
-    return math.log1p(lam_j / spec.tail(j)) / math.log1p(lam_next / spec.tail(j + 1))
-
-
 def _evaluate(spec: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
+    """The criterion at j is terms[j] / terms[j + 1] for j = j_start..k_max, where
+    terms[j] is lambda_j (mker, er), log1p(lambda_j / V_{j-1}) (mktcr, tcr) or
+    log1p(lambda_j / V_j) (gr), with lambda_0 the mock eigenvalue and
+    V_{-1} = V_0 + lambda_0."""
     L = spec.size
     method = config.method
     # gr reads V_{k_max+1}; the others stop at V_{k_max} / lambda_{k_max+1}
@@ -114,38 +102,22 @@ def _evaluate(spec: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
             f"k_max = {config.k_max} too large for spectrum of length {L} (method {method})"
         )
     j_start = 0 if config.allow_zero else 1
-    series = np.array(
-        [_criterion_value(spec, method, j) for j in range(j_start, config.k_max + 1)]
-    )
+    stop = config.k_max + 2
+    lam = np.concatenate(([spec.mock_zero], spec.regularized[: stop - 1]))
+    if method in ("mktcr", "tcr"):
+        tails = np.concatenate(([spec.tail_sums[0] + spec.mock_zero], spec.tail_sums[: stop - 1]))
+    elif method == "gr":
+        tails = spec.tail_sums[:stop]
+    else:
+        tails = None
+    # math.log1p, not np.log1p: numpy's vectorized log1p can differ from libm in
+    # the last bit, which would change the criterion bytes
+    terms = lam if tails is None else np.array([math.log1p(x) for x in lam / tails])
+    series = terms[j_start:-1] / terms[j_start + 1 :]
     r_hat = j_start + int(np.argmax(series))  # first max wins ties
     return EstimationResult(
         r_hat=r_hat, ratio_series=series, spectrum=spec, method=method, j_start=j_start
     )
-
-
-def mker(spectrum: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
-    """Eigenvalue-ratio criterion on the Kendall's tau spectrum."""
-    return _evaluate(spectrum, replace(config, method="mker"))
-
-
-def mktcr(spectrum: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
-    """Transformed contribution ratio on the Kendall's tau spectrum."""
-    return _evaluate(spectrum, replace(config, method="mktcr"))
-
-
-def er_baseline(spectrum: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
-    """Eigenvalue-ratio baseline on the covariance-path spectrum."""
-    return _evaluate(spectrum, replace(config, method="er"))
-
-
-def gr_baseline(spectrum: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
-    """Growth-ratio baseline on the covariance-path spectrum."""
-    return _evaluate(spectrum, replace(config, method="gr"))
-
-
-def tcr_baseline(spectrum: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
-    """Transformed contribution ratio baseline on the covariance-path spectrum."""
-    return _evaluate(spectrum, replace(config, method="tcr"))
 
 
 def _demeaned_values(panel: DataPanel, mode: str) -> np.ndarray:

@@ -9,7 +9,6 @@ on it robust to heavy tails.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,9 @@ __all__ = [
     "window_kendall_tau",
     "population_kendall_eigenvalues_oracle",
     "han_lower_bound",
-    "save_matrix_binary",
-    "load_matrix_binary",
     "verify_kendall_invariants",
 ]
 
-_DUMP_VERSION = 1
 # Row blocks of the pair-weight matrix: at most this many rows, so a block's
 # weights stay in cache and the triangle below the diagonal is mostly skipped,
 # and at most this many entries, so the working set does not grow with T.
@@ -446,27 +442,3 @@ def han_lower_bound(sigma_eigenvalues, j: int, N: int) -> float:
     logn = np.log(N)
     denom = trace + 4.0 * fro * np.sqrt(logn) + 8.0 * spec2 * logn
     return float(lam[j - 1] / denom * (1.0 - np.sqrt(3.0) / N**2))
-
-
-def save_matrix_binary(kt: KendallTauMatrix, path) -> None:
-    """Dump the matrix as an 8-byte header (N, version as uint32) plus row-major float64."""
-    M = kt.matrix
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", M.shape[0], _DUMP_VERSION))
-        fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    """Read a matrix dumped by :func:`save_matrix_binary`."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path}: truncated header")
-        n, version = struct.unpack("<II", header)
-        if version != _DUMP_VERSION:
-            raise ValueError(f"{path}: unsupported dump version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"{path}: expected {n * n} values, found {data.size}")
-    return data.reshape(n, n).astype(np.float64)
-

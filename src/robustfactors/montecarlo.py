@@ -17,7 +17,7 @@ loadings are standard normal, redrawn each replication.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,12 @@ def neighbor_half_width(N: int) -> int:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """All knobs of one simulation scenario."""
+    """All knobs of one simulation scenario.
+
+    scatter_diag, when given, is the diagonal of the (F_t, v_t) scatter
+    matrix, stored as a tuple of floats so that specs compare and hash by
+    value; None means the identity.
+    """
 
     name: str
     r: int
@@ -70,7 +75,7 @@ class ScenarioSpec:
     k_max: int = 8
     reps: int = 200
     burn_in: int = 50
-    scatter_diag: np.ndarray | None = field(default=None)
+    scatter_diag: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.r < 0:
@@ -93,7 +98,7 @@ class ScenarioSpec:
             d = np.asarray(self.scatter_diag, dtype=np.float64)
             if d.shape != (self.N + self.r,) or np.any(d <= 0):
                 raise ValueError("scatter_diag must be positive with length N + r")
-            object.__setattr__(self, "scatter_diag", d)
+            object.__setattr__(self, "scatter_diag", tuple(d.tolist()))
 
     @property
     def label(self) -> str:
@@ -103,7 +108,7 @@ class ScenarioSpec:
 
 def _scatter(spec: ScenarioSpec) -> np.ndarray:
     if spec.scatter_diag is not None:
-        return spec.scatter_diag
+        return np.array(spec.scatter_diag)
     return np.ones(spec.N + spec.r)
 
 
@@ -134,7 +139,13 @@ def _build_a(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
     )
 
 
-def _correlated(name, dist, r=3, theta=1.0):
+# Each builder's __doc__ is the one-line description `robustfactors catalog`
+# prints. It is assigned rather than written as a docstring so that python -OO,
+# which strips docstrings, keeps it.
+_build_a.__doc__ = "r=3, iid errors; knobs: dist (required), N, T"
+
+
+def _correlated(name, dist, note, r=3, theta=1.0):
     fixed_size = {"B3": 100, "B4": 100, "B5": 100, "C3": 150, "C4": 150, "C5": 150}
     snr_position = {"B3": 2, "C3": 2, "B5": 0, "C5": 0}
     dominant_r = {"B5": 2, "C5": 2}
@@ -166,6 +177,7 @@ def _correlated(name, dist, r=3, theta=1.0):
             k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
         )
 
+    build.__doc__ = note
     return build
 
 
@@ -174,16 +186,26 @@ def scenario_catalog():
 
     Free knobs per scenario: A takes dist and N = T; B1/B2/C1/C2 take N = T;
     B3/C3 and B5/C5 take snr; B4/C4 take k_max. Every constructor accepts
-    reps and k_max.
+    reps and k_max. Each constructor's ``__doc__`` describes its scenario in
+    one line.
     """
-    catalog = {"A": _build_a}
-    for name, dist in [("B", "gaussian"), ("C", "t3")]:
-        catalog[f"{name}1"] = _correlated(f"{name}1", dist)
-        catalog[f"{name}2"] = _correlated(f"{name}2", dist, theta=6.0)
-        catalog[f"{name}3"] = _correlated(f"{name}3", dist)
-        catalog[f"{name}4"] = _correlated(f"{name}4", dist)
-        catalog[f"{name}5"] = _correlated(f"{name}5", dist)
-    return catalog
+    return {
+        "A": _build_a,
+        "B1": _correlated(
+            "B1", "gaussian", "r=3 gaussian, rho=0.5 beta=0.2 J=max(10,N/20); knobs: N, T"
+        ),
+        "B2": _correlated("B2", "gaussian", "B1 with noise scale theta=6; knobs: N, T", theta=6.0),
+        "B3": _correlated("B3", "gaussian", "B1 at N=T=100, third factor strength set by --snr"),
+        "B4": _correlated("B4", "gaussian", "B1 at N=T=100 for k_max sweeps; knob: k_max"),
+        "B5": _correlated(
+            "B5", "gaussian", "r=2 gaussian at N=T=100, first factor strength set by --snr"
+        ),
+        "C1": _correlated("C1", "t3", "B1 with multivariate t3 draws; knobs: N, T"),
+        "C2": _correlated("C2", "t3", "C1; knobs: N, T", theta=6.0),
+        "C3": _correlated("C3", "t3", "B3 with t3 draws at N=T=150"),
+        "C4": _correlated("C4", "t3", "B4 with t3 draws at N=T=150; knob: k_max"),
+        "C5": _correlated("C5", "t3", "B5 with t3 draws at N=T=150"),
+    }
 
 
 def make_scenario(name: str, **knobs) -> ScenarioSpec:
@@ -273,17 +295,15 @@ def method_configs(
 ) -> dict[str, EstimatorConfig]:
     """Normalize a methods argument into named EstimatorConfig entries.
 
-    ``methods`` may be None (all five), a comma-separated string, an iterable
-    of method names, or ready-made configs (keyed by method name).
+    ``methods`` may be None (all five), a comma-separated string or an
+    iterable of method names. :func:`run_scenario` also takes a dict of
+    ready-made configs.
     """
     if methods is None:
         names = list(ALL_METHODS)
     elif isinstance(methods, str):
         names = [tok.strip() for tok in methods.split(",") if tok.strip()]
     else:
-        methods = list(methods)
-        if methods and isinstance(methods[0], EstimatorConfig):
-            return {cfg.method: cfg for cfg in methods}
         names = [str(tok) for tok in methods]
     if not names:
         raise ValueError("no methods given")

@@ -54,6 +54,8 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         raise ValueError("window must be >= 2")
     if window > T:
         raise ValueError(f"window {window} exceeds panel length {T}")
+    if not configs:
+        raise ValueError("no methods given")
     need = max(cfg.k_max for cfg in configs.values()) + 2
     if window < need:
         raise ValueError(f"window {window} too small for k_max; need at least {need}")

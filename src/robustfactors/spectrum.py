@@ -49,28 +49,14 @@ class EigenSpectrum:
     def size(self) -> int:
         return self.raw.shape[0]
 
-    def lam(self, j: int) -> float:
-        """Regularized eigenvalue by 1-based index; j = 0 is the mock eigenvalue."""
-        if j == 0:
-            return self.mock_zero
-        return float(self.regularized[j - 1])
 
-    def tail(self, j: int) -> float:
-        """V_j for j = 0..L-1; V_{-1} extends the telescoping identity with the mock value."""
-        if j == -1:
-            return float(self.tail_sums[0]) + self.mock_zero
-        return float(self.tail_sums[j])
-
-
-def eigenvalues_sym(matrix, top_k: int | None = None, check: bool = False) -> np.ndarray:
+def eigenvalues_sym(matrix, check: bool = False) -> np.ndarray:
     """Descending eigenvalues of a symmetric matrix.
 
     Parameters
     ----------
     matrix : array_like
         N x N, symmetric to 1e-8 absolute, finite entries.
-    top_k : int, optional
-        Return only the top_k largest.
     check : bool
         Debug mode: also verify the reconstruction
         |Q L Q^T - A|_F <= 1e-8 |A|_F from the full decomposition.
@@ -98,15 +84,10 @@ def eigenvalues_sym(matrix, top_k: int | None = None, check: bool = False) -> np
             vals = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    vals = vals[::-1]
-    if top_k is not None:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        vals = vals[:top_k]
-    return np.ascontiguousarray(vals)
+    return np.ascontiguousarray(vals[::-1])
 
 
-def build_spectrum(raw_eigenvalues, N: int, T: int, c: float, L: int | None = None) -> EigenSpectrum:
+def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
     """Assemble the regularized spectrum used by the criteria.
 
     Parameters
@@ -118,11 +99,10 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float, L: int | None = No
         noise is relative, and covariance spectra of heavy-tailed panels can
         sit many orders of magnitude above one.
     N, T : int
-        Panel dimensions; m = min(N, T) drives the regularizer.
+        Panel dimensions; m = min(N, T) drives the regularizer, and the top
+        min(N, T, len(raw_eigenvalues)) eigenvalues are kept.
     c : float
         Positive regularizer constant.
-    L : int, optional
-        Eigenvalues retained; defaults to min(N, T, len(raw)).
     """
     raw = np.asarray(raw_eigenvalues, dtype=np.float64).copy()
     if raw.ndim != 1 or raw.size == 0:
@@ -133,13 +113,7 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float, L: int | None = No
         raise ValueError("c must be positive")
     if N < 2 or T < 2:
         raise ValueError("N and T must be >= 2")
-    if L is None:
-        L = min(N, T, raw.size)
-    if L == 0:
-        raise ValueError("L must be >= 1")
-    if L > raw.size:
-        raise ValueError(f"L = {L} exceeds spectrum length {raw.size}")
-    raw = raw[:L]
+    raw = raw[: min(N, T)]
     floor = -1e-10 * max(float(raw[0]), 1.0)
     if raw[-1] < floor:
         raise InvariantError(

@@ -68,6 +68,12 @@ class TestSimulate:
         assert "3.000(0|0)" in proc.stdout
         assert "simulate: 4/4" in proc.stderr
 
+    def test_table_matches_golden(self):
+        proc = run_cli("simulate", "--scenario", "C1", "--N", "60", "--T", "60",
+                       "--reps", "20", "--seed", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "simulate_c1.txt").read_text()
+
     def test_repeat_runs_byte_identical(self):
         args = ("simulate", "--scenario", "A", "--dist", "t3", "--N", "30",
                 "--T", "30", "--reps", "3", "--seed", "9", "--methods", "mker")
@@ -136,6 +142,14 @@ class TestEstimate:
             assert isinstance(res["r_hat"], int)
             assert len(res["criterion"]) == 5
             assert all(isinstance(v, float) for v in res["criterion"])
+
+    def test_json_matches_golden(self, factor_csv):
+        # captured before the criteria became one ratio formula; every
+        # criterion float prints in full, so a last-bit change shows
+        proc = run_cli("estimate", "--input", factor_csv, "--json", "--allow-zero")
+        assert proc.returncode == 0
+        out = proc.stdout.replace(json.dumps(factor_csv), '"panel.csv"')
+        assert out == (GOLDEN / "estimate_allow_zero.json").read_text()
 
     def test_allow_zero_extends_series(self, factor_csv):
         proc = run_cli("estimate", "--input", factor_csv, "--json",
@@ -240,6 +254,11 @@ class TestCatalogAndSelfcheck:
         assert proc.returncode == 0
         names = [line.split()[0] for line in proc.stdout.splitlines()]
         assert names == ["A", "B1", "B2", "B3", "B4", "B5", "C1", "C2", "C3", "C4", "C5"]
+
+    def test_catalog_matches_golden(self):
+        proc = run_cli("catalog")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "catalog.txt").read_text()
 
     def test_selfcheck_passes(self):
         proc = run_cli("selfcheck")

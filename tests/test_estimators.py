@@ -12,24 +12,12 @@ from robustfactors.estimators import (
     COVARIANCE_METHODS,
     KENDALL_METHODS,
     EstimatorConfig,
-    er_baseline,
+    _evaluate,
     estimate,
     estimate_many,
-    gr_baseline,
-    mker,
-    mktcr,
-    tcr_baseline,
 )
 from robustfactors.panel import DataPanel
 from robustfactors.spectrum import build_spectrum
-
-WRAPPERS = {
-    "mker": mker,
-    "mktcr": mktcr,
-    "er": er_baseline,
-    "gr": gr_baseline,
-    "tcr": tcr_baseline,
-}
 
 
 def reference_series(raw, N, T, c, method, k_max, allow_zero=False):
@@ -59,6 +47,34 @@ def reference_series(raw, N, T, c, method, k_max, allow_zero=False):
         else:
             out.append(math.log(1.0 + lam(j) / tail(j)) / math.log(1.0 + lam(j + 1) / tail(j + 1)))
     return out
+
+
+def loop_series(spec, method, k_max, allow_zero):
+    """The per-j loop the criteria used before the one ratio formula, with the
+    spectrum's former lam() and tail() accessors as local functions."""
+
+    def lam(j):
+        if j == 0:
+            return spec.mock_zero
+        return float(spec.regularized[j - 1])
+
+    def tail(j):
+        if j == -1:
+            return float(spec.tail_sums[0]) + spec.mock_zero
+        return float(spec.tail_sums[j])
+
+    def criterion_value(j):
+        lam_j = lam(j)
+        lam_next = lam(j + 1)
+        if method in ("mker", "er"):
+            return lam_j / lam_next
+        if method in ("mktcr", "tcr"):
+            return math.log1p(lam_j / tail(j - 1)) / math.log1p(lam_next / tail(j))
+        return math.log1p(lam_j / tail(j)) / math.log1p(lam_next / tail(j + 1))
+
+    j_start = 0 if allow_zero else 1
+    series = np.array([criterion_value(j) for j in range(j_start, k_max + 1)])
+    return j_start + int(np.argmax(series)), series
 
 
 def noise_panel(rng, T, N, scale=1.0):
@@ -98,7 +114,7 @@ class TestConfig:
 class TestCriterionValues:
     def test_eigenvalue_ratio_picks_largest_gap(self):
         spec = build_spectrum([10.0, 5.0, 4.0, 0.1, 0.09, 0.08], N=64, T=64, c=1e-8)
-        res = mker(spec, EstimatorConfig(method="mker", k_max=4))
+        res = _evaluate(spec, EstimatorConfig(method="mker", k_max=4))
         assert res.r_hat == 3
         np.testing.assert_allclose(
             res.ratio_series, [2.0, 1.25, 40.0, 0.1 / 0.09], rtol=1e-6
@@ -106,14 +122,14 @@ class TestCriterionValues:
 
     def test_er_toy_spectrum(self):
         spec = build_spectrum([8.0, 4.0, 0.2, 0.1], N=32, T=32, c=1e-9)
-        res = er_baseline(spec, EstimatorConfig(method="er", k_max=3))
+        res = _evaluate(spec, EstimatorConfig(method="er", k_max=3))
         assert res.r_hat == 2
 
     def test_growth_ratio_telescopes_tail_ratios(self):
         # log1p(lam_j / V_j) == log(V_{j-1} / V_j), so the gr criterion is a
         # ratio of successive tail-sum log-contractions.
         spec = build_spectrum([4.0, 2.0, 1.0, 1.0], N=16, T=16, c=1.0)
-        res = gr_baseline(spec, EstimatorConfig(method="gr", k_max=2, c=1.0))
+        res = _evaluate(spec, EstimatorConfig(method="gr", k_max=2, c=1.0))
         v = spec.tail_sums
         expected1 = math.log((v[0]) / v[1]) / math.log(v[1] / v[2])
         expected2 = math.log(v[1] / v[2]) / math.log(v[2] / v[3])
@@ -127,14 +143,14 @@ class TestCriterionValues:
             N = int(rng.integers(L, 3 * L))
             T = int(rng.integers(L, 3 * L))
             c = float(rng.uniform(0.005, 0.2))
-            spec = build_spectrum(raw, N=N, T=T, c=c, L=L)
+            spec = build_spectrum(raw, N=N, T=T, c=c)
             for method in ALL_METHODS:
                 k_max = L - 2 if method == "gr" else L - 1
                 for allow_zero in (False, True):
                     cfg = EstimatorConfig(
                         method=method, k_max=k_max, c=c, allow_zero=allow_zero
                     )
-                    res = WRAPPERS[method](spec, cfg)
+                    res = _evaluate(spec, cfg)
                     ref = reference_series(raw, N, T, c, method, k_max, allow_zero)
                     np.testing.assert_allclose(res.ratio_series, ref, rtol=1e-12)
                     assert res.r_hat == res.j_start + int(np.argmax(ref))
@@ -144,7 +160,7 @@ class TestCriterionValues:
         spec = build_spectrum(raw, N=50, T=50, c=0.05)
         for method in ALL_METHODS:
             cfg = EstimatorConfig(method=method, k_max=6, c=0.05)
-            res = WRAPPERS[method](spec, cfg)
+            res = _evaluate(spec, cfg)
             ref = reference_series(raw, 50, 50, 0.05, method, 6)
             np.testing.assert_allclose(res.ratio_series, ref, rtol=1e-12)
             assert res.r_hat == 2
@@ -152,31 +168,52 @@ class TestCriterionValues:
     def test_flat_spectrum_tie_breaks_to_smallest(self):
         spec = build_spectrum(np.full(10, 0.1), N=20, T=20, c=0.01)
         for method in ("mker", "er"):
-            res = WRAPPERS[method](spec, EstimatorConfig(method=method, k_max=5))
+            res = _evaluate(spec, EstimatorConfig(method=method, k_max=5))
             assert res.r_hat == 1
 
     def test_series_length_and_j_start(self):
         spec = build_spectrum(np.linspace(1.0, 0.1, 12), N=20, T=20, c=0.01)
-        res = mker(spec, EstimatorConfig(method="mker", k_max=7))
+        res = _evaluate(spec, EstimatorConfig(method="mker", k_max=7))
         assert res.j_start == 1
         assert res.ratio_series.shape == (7,)
-        res0 = mker(spec, EstimatorConfig(method="mker", k_max=7, allow_zero=True))
+        res0 = _evaluate(spec, EstimatorConfig(method="mker", k_max=7, allow_zero=True))
         assert res0.j_start == 0
         assert res0.ratio_series.shape == (8,)
 
     def test_k_max_limits(self):
         spec = build_spectrum(np.linspace(1.0, 0.1, 10), N=10, T=10, c=0.01)
-        mker(spec, EstimatorConfig(method="mker", k_max=9))
+        _evaluate(spec, EstimatorConfig(method="mker", k_max=9))
         with pytest.raises(ValueError, match="too large"):
-            mker(spec, EstimatorConfig(method="mker", k_max=10))
-        gr_baseline(spec, EstimatorConfig(method="gr", k_max=8))
+            _evaluate(spec, EstimatorConfig(method="mker", k_max=10))
+        _evaluate(spec, EstimatorConfig(method="gr", k_max=8))
         with pytest.raises(ValueError, match="too large"):
-            gr_baseline(spec, EstimatorConfig(method="gr", k_max=9))
+            _evaluate(spec, EstimatorConfig(method="gr", k_max=9))
 
-    def test_wrapper_overrides_method_field(self):
-        spec = build_spectrum([0.6, 0.3, 0.05, 0.05], N=30, T=30, c=0.01)
-        res = mktcr(spec, EstimatorConfig(method="er", k_max=2))
-        assert res.method == "mktcr"
+
+class TestRatioFormula:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        raw=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3)),
+            min_size=3, max_size=40,
+        ),
+        extra=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+        c=st.floats(min_value=1e-4, max_value=1.0),
+        method=st.sampled_from(ALL_METHODS),
+        allow_zero=st.booleans(),
+        data=st.data(),
+    )
+    def test_bytes_match_the_per_j_loop(self, raw, extra, c, method, allow_zero, data):
+        raw = sorted(raw, reverse=True)
+        spec = build_spectrum(raw, N=len(raw) + extra[0], T=len(raw) + extra[1], c=c)
+        limit = spec.size - 2 if method == "gr" else spec.size - 1
+        k_max = data.draw(st.integers(1, limit), label="k_max")
+        cfg = EstimatorConfig(method=method, k_max=k_max, c=c, allow_zero=allow_zero)
+        res = _evaluate(spec, cfg)
+        r_hat, series = loop_series(spec, method, k_max, allow_zero)
+        assert res.ratio_series.view(np.int64).tolist() == series.view(np.int64).tolist()
+        assert res.r_hat == r_hat
+        assert res.j_start == (0 if allow_zero else 1)
 
 
 class TestEndToEnd:
@@ -333,6 +370,6 @@ class TestMethodAgreement:
     def test_kendall_methods_agree_on_separated_spectrum(self):
         raw = np.concatenate([[0.3, 0.28, 0.26], np.full(20, 0.16 / 20)])
         spec = build_spectrum(raw, N=40, T=40, c=0.001)
-        r1 = mker(spec, EstimatorConfig(method="mker", k_max=8, c=0.001)).r_hat
-        r2 = mktcr(spec, EstimatorConfig(method="mktcr", k_max=8, c=0.001)).r_hat
+        r1 = _evaluate(spec, EstimatorConfig(method="mker", k_max=8, c=0.001)).r_hat
+        r2 = _evaluate(spec, EstimatorConfig(method="mktcr", k_max=8, c=0.001)).r_hat
         assert r1 == r2 == 3

@@ -16,7 +16,6 @@ from robustfactors.elliptical import EllipticalSpec, RngStream, sample_gaussian,
 from robustfactors.estimators import estimate_many
 from robustfactors.kendall import (
     han_lower_bound,
-    load_matrix_binary,
     population_kendall_eigenvalues_oracle,
     sample_kendall_tau,
     verify_kendall_invariants,
@@ -409,39 +408,3 @@ class TestInvariantChecker:
         M = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InvariantError, match="finite"):
             verify_kendall_invariants(type("KT", (), {"matrix": M})())
-
-
-class TestBinaryRoundTrip:
-    def test_roundtrip_bytes_exact(self, rng, tmp_path):
-        kt = sample_kendall_tau(rng.standard_normal((12, 5)))
-        path = tmp_path / "kt.bin"
-        from robustfactors.kendall import save_matrix_binary
-
-        save_matrix_binary(kt, path)
-        back = load_matrix_binary(path)
-        assert np.array_equal(back, kt.matrix)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "trunc.bin"
-        path.write_bytes(b"\x01\x02")
-        with pytest.raises(ValueError, match="truncated"):
-            load_matrix_binary(path)
-
-    def test_size_mismatch_rejected(self, rng, tmp_path):
-        from robustfactors.kendall import save_matrix_binary
-
-        kt = sample_kendall_tau(rng.standard_normal((6, 3)))
-        path = tmp_path / "kt.bin"
-        save_matrix_binary(kt, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="expected"):
-            load_matrix_binary(path)
-
-    def test_version_checked(self, rng, tmp_path):
-        import struct
-
-        path = tmp_path / "v9.bin"
-        path.write_bytes(struct.pack("<II", 1, 9) + np.zeros(1).tobytes())
-        with pytest.raises(ValueError, match="version"):
-            load_matrix_binary(path)

@@ -93,6 +93,18 @@ class TestScenarioSpec:
         assert make_scenario("A", dist="t3", N=50, T=50).label == "A-t3"
         assert make_scenario("B1", N=50, T=50).label == "B1"
 
+    def test_spiked_specs_and_reports_compare_by_value(self):
+        spec = make_scenario("B3", snr=2.0)
+        twin = make_scenario("B3", snr=2.0)
+        assert spec == twin
+        assert hash(spec) == hash(twin)
+        assert spec != make_scenario("B3", snr=3.0)
+        assert plain_spec(scatter_diag=np.ones(11)) == plain_spec(scatter_diag=[1.0] * 11)
+        spec = make_scenario("B5", snr=4.0, reps=2)
+        assert run_scenario(spec, "mker", master_seed=1) == run_scenario(
+            spec, "mker", master_seed=1
+        )
+
     def test_neighbor_half_width_rule(self):
         assert neighbor_half_width(100) == 10
         assert neighbor_half_width(10) == 10
@@ -134,7 +146,7 @@ class TestCatalog:
         assert (spec.N, spec.T, spec.r) == (100, 100, 3)
         assert spec.scatter_diag is not None
         assert spec.scatter_diag[2] == 0.5
-        assert np.all(spec.scatter_diag[np.arange(103) != 2] == 1.0)
+        assert np.all(np.asarray(spec.scatter_diag)[np.arange(103) != 2] == 1.0)
         with pytest.raises(ValueError, match="fixes N = T"):
             make_scenario("B3", snr=0.5, N=80)
         with pytest.raises(ValueError, match="requires snr"):
@@ -145,7 +157,7 @@ class TestCatalog:
             spec = make_scenario(name, snr=20.0)
             assert (spec.N, spec.T, spec.r) == (size, size, 2)
             assert spec.scatter_diag[0] == 20.0
-            assert spec.scatter_diag.shape == (size + 2,)
+            assert len(spec.scatter_diag) == size + 2
 
     def test_kmax_knob_scenarios(self):
         spec = make_scenario("B4", k_max=16)
@@ -272,10 +284,11 @@ class TestMethodConfigs:
         assert configs["er"].k_max == 5
         assert configs["er"].c == 0.2
 
-    def test_ready_made_configs_pass_through(self):
-        cfg = EstimatorConfig(method="tcr", k_max=3)
-        configs = method_configs([cfg])
-        assert configs == {"tcr": cfg}
+    def test_config_objects_rejected(self):
+        # ready-made configs go to run_scenario as a dict, not through method_configs
+        for methods in ([EstimatorConfig(method="tcr")], [EstimatorConfig(method="tcr"), "mker"]):
+            with pytest.raises(ValueError, match="unknown method"):
+                method_configs(methods)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="unknown method"):

@@ -123,6 +123,11 @@ class TestRollingValidation:
         with pytest.raises(ValueError, match="impute"):
             rolling_estimate(panel, window=10, configs=two_configs())
 
+    def test_no_configs_rejected(self, rng):
+        panel = DataPanel(rng.standard_normal((20, 8)))
+        with pytest.raises(ValueError, match="^no methods given$"):
+            rolling_estimate(panel, window=10, configs={})
+
 
 class TestRollingCsv:
     def test_schema_and_roundtrip(self, rng, tmp_path):
