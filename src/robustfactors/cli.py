@@ -184,6 +184,14 @@ def _cmd_selfcheck(args) -> int:
     ok("repeated calls are bit-identical")
 
     raw = eigenvalues_sym(kt.matrix)
+    vals, vecs = np.linalg.eigh(kt.matrix)
+    err = float(np.linalg.norm((vecs * vals) @ vecs.T - kt.matrix))
+    if err > 1e-8 * float(np.linalg.norm(kt.matrix)):
+        raise InvariantError(f"eigendecomposition reconstruction error {err:.3e} too large")
+    if np.max(np.abs(raw - vals[::-1])) > 1e-12:
+        raise InvariantError("eigenvalues_sym disagrees with the full eigendecomposition")
+    ok("eigenvalues match a full eigendecomposition that reconstructs the matrix")
+
     spec60 = build_spectrum(raw, panel.shape[1], panel.shape[0], c=0.05)
     V = spec60.tail_sums
     for j in range(spec60.size - 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kendall import sample_kendall_tau
-from .panel import DataPanel, double_demean
+from .panel import DataPanel, _double_demean
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
 __all__ = [
@@ -120,12 +120,6 @@ def _evaluate(spec: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
     )
 
 
-def _demeaned_values(panel: DataPanel, mode: str) -> np.ndarray:
-    if mode == "double":
-        return double_demean(panel).values
-    return panel.values
-
-
 def estimate_many(
     panel: DataPanel,
     configs: dict[str, EstimatorConfig],
@@ -137,16 +131,30 @@ def estimate_many(
     (matrix, c); configs that differ only in k_max, allow_zero or the
     criterion share them, which makes k_max sweeps nearly free.
     """
-    return _estimate_many(panel, configs, kendall=lambda demean: None)
-
-
-def _estimate_many(panel: DataPanel, configs, kendall) -> dict[str, EstimationResult]:
-    """:func:`estimate_many`, taking the Kendall's tau matrix of each demeaning mode
-    from ``kendall(demean)``; where that returns None, the matrix is
-    :func:`sample_kendall_tau` of the demeaned panel."""
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
-    T, N = panel.shape
+    _check_size(panel.shape, configs)
+    return _decide(panel.values, configs, {})
+
+
+def _check_size(shape: tuple[int, int], configs) -> None:
+    """Reject the first config whose k_max + 2 exceeds min(N, T)."""
+    m = min(shape)
+    for config in configs.values():
+        if m < config.k_max + 2:
+            raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
+
+
+def _decide(Y: np.ndarray, configs, kendall: dict[str, np.ndarray]) -> dict[str, EstimationResult]:
+    """The decision shared by :func:`estimate_many` and every rolling window.
+
+    ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
+    on its shape; neither is checked again. ``kendall`` maps a demeaning mode
+    to the Kendall's tau matrix of ``Y`` in that mode, where the caller has
+    it; any other mode's matrix is :func:`sample_kendall_tau` of the
+    demeaned ``Y``.
+    """
+    T, N = Y.shape
     values_cache: dict[str, np.ndarray] = {}
     raw_cache: dict[tuple[str, str], np.ndarray] = {}
     spectra: dict[tuple[str, str, float], EigenSpectrum] = {}
@@ -154,24 +162,21 @@ def _estimate_many(panel: DataPanel, configs, kendall) -> dict[str, EstimationRe
 
     def demeaned(mode: str) -> np.ndarray:
         if mode not in values_cache:
-            values_cache[mode] = _demeaned_values(panel, mode)
+            values_cache[mode] = _double_demean(Y) if mode == "double" else Y
         return values_cache[mode]
 
     for name, config in configs.items():
-        if min(N, T) < config.k_max + 2:
-            raise ValueError(
-                f"panel too small: min(N, T) = {min(N, T)} < k_max + 2 = {config.k_max + 2}"
-            )
+        mode = config.demean
         path = "kendall" if config.method in KENDALL_METHODS else "covariance"
-        key = (path, config.demean)
+        key = (path, mode)
         if key not in raw_cache:
-            if path == "kendall":
-                kt = kendall(config.demean)
-                if kt is None:
-                    kt = sample_kendall_tau(demeaned(config.demean))
-                raw_cache[key] = eigenvalues_sym(kt.matrix)
+            if path == "covariance":
+                raw_cache[key] = gram_eigenvalues(demeaned(mode))
             else:
-                raw_cache[key] = gram_eigenvalues(demeaned(config.demean))
+                matrix = kendall.get(mode)
+                if matrix is None:
+                    matrix = sample_kendall_tau(demeaned(mode)).matrix
+                raw_cache[key] = eigenvalues_sym(matrix)
         skey = (*key, config.c)
         if skey not in spectra:
             spectra[skey] = build_spectrum(raw_cache[key], N=N, T=T, c=config.c)

@@ -17,7 +17,7 @@ loadings are standard normal, redrawn each replication.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def scenario_catalog():
             "B5", "gaussian", "r=2 gaussian at N=T=100, first factor strength set by --snr"
         ),
         "C1": _correlated("C1", "t3", "B1 with multivariate t3 draws; knobs: N, T"),
-        "C2": _correlated("C2", "t3", "C1; knobs: N, T", theta=6.0),
+        "C2": _correlated("C2", "t3", "C1 with noise scale theta=6; knobs: N, T", theta=6.0),
         "C3": _correlated("C3", "t3", "B3 with t3 draws at N=T=150"),
         "C4": _correlated("C4", "t3", "B4 with t3 draws at N=T=150; knob: k_max"),
         "C5": _correlated("C5", "t3", "B5 with t3 draws at N=T=150"),
@@ -267,12 +267,15 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
 
 @dataclass(frozen=True)
 class CellStats:
-    """One x(y|z) table cell: mean estimate, underestimates, overestimates."""
+    """One x(y|z) table cell: mean estimate, underestimates, overestimates.
+
+    The histogram of estimates takes part in equality but not in the hash.
+    """
 
     mean: float
     under: int
     over: int
-    histogram: dict[int, int]
+    histogram: dict[int, int] = field(hash=False)
 
     def cell(self) -> str:
         return f"{self.mean:.3f}({self.under}|{self.over})"
@@ -280,10 +283,12 @@ class CellStats:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """Per-method cells of one scenario run; ``per_method`` is compared but not hashed."""
+
     scenario: ScenarioSpec
     seed: int
     reps: int
-    per_method: dict[str, CellStats]
+    per_method: dict[str, CellStats] = field(hash=False)
 
 
 def method_configs(

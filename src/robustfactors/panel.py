@@ -182,9 +182,9 @@ def double_demean(panel: DataPanel) -> DataPanel:
     """
     if panel.has_missing:
         raise ValueError("cannot demean a panel with missing values; impute first")
-    y = panel.values
-    row_mean = y.mean(axis=1, keepdims=True)  # per time point
-    col_mean = y.mean(axis=0, keepdims=True)  # per series
-    grand = y.mean()
-    out = y - row_mean - col_mean + grand
-    return DataPanel(out, panel.time_labels)
+    return DataPanel(_double_demean(panel.values), panel.time_labels)
+
+
+def _double_demean(y: np.ndarray) -> np.ndarray:
+    """y minus its time means (row means) and series means (column means), plus its grand mean."""
+    return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()

@@ -6,7 +6,7 @@ import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .estimators import KENDALL_METHODS, _estimate_many
+from .estimators import KENDALL_METHODS, _check_size, _decide
 from .kendall import pair_weight_band, window_kendall_tau
 from .panel import DataPanel
 
@@ -19,7 +19,6 @@ class RollingResult:
 
     series: list[tuple[str, str, int]]
     window: int
-    start_index: int
     methods: tuple[str, ...]
 
     def by_method(self, method: str) -> list[tuple[str, int]]:
@@ -40,10 +39,10 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
 
     The panel must be complete (impute first). Windows end at observations
     window, window + 1, ..., T (1-based), giving T - window + 1 entries per
-    method; each window is demeaned on its own per the configs. start_index
-    is the 1-based time index of the first full window's endpoint.
+    method; each window is demeaned on its own per the configs.
 
-    The Kendall matrices of all windows come from one
+    The panel and configs are validated once per call, not per window. The
+    Kendall matrices of all windows come from one
     :func:`~robustfactors.kendall.pair_weight_band` per demeaning mode; see
     :func:`~robustfactors.kendall.window_kendall_tau`.
     """
@@ -59,6 +58,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     need = max(cfg.k_max for cfg in configs.values()) + 2
     if window < need:
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
+    _check_size((window, panel.shape[1]), configs)
 
     # One band of pair weights per demeaning mode serves every window. Double
     # demeaning a window subtracts each row's mean, which does not depend on
@@ -78,22 +78,19 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
-        results = _estimate_many(
-            DataPanel(values[start : end + 1]),
-            configs,
-            # None sends a window the shared weights cannot represent to sample_kendall_tau
-            kendall=lambda mode: (
-                window_kendall_tau(bands[mode], start) if bands[mode].covers(start) else None
-            ),
-        )
+        # a window the shared weights cannot represent gets sample_kendall_tau in _decide
+        kendall = {
+            mode: window_kendall_tau(band, start).matrix
+            for mode, band in bands.items()
+            if band.covers(start)
+        }
+        results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
         for name, res in results.items():
             series.append((label, name, res.r_hat))
         if progress is not None:
             progress(start + 1, n_windows)
-    return RollingResult(
-        series=series, window=window, start_index=window, methods=tuple(configs)
-    )
+    return RollingResult(series=series, window=window, methods=tuple(configs))
 
 
 def write_rolling_csv(result: RollingResult, path) -> None:

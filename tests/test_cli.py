@@ -260,11 +260,21 @@ class TestCatalogAndSelfcheck:
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "catalog.txt").read_text()
 
+    def test_catalog_survives_stripped_docstrings(self):
+        # python -OO drops docstrings; the catalog lines are assigned to __doc__
+        proc = subprocess.run(
+            [sys.executable, "-OO", "-m", "robustfactors.cli", "catalog"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "catalog.txt").read_text()
+
     def test_selfcheck_passes(self):
         proc = run_cli("selfcheck")
         assert proc.returncode == 0
-        assert proc.stdout.count("ok:") == 6
-        assert "selfcheck passed (6 checks)" in proc.stdout
+        assert proc.stdout.count("ok:") == 7
+        assert "ok: eigenvalues match a full eigendecomposition" in proc.stdout
+        assert "selfcheck passed (7 checks)" in proc.stdout
 
     def test_selfcheck_deterministic(self):
         a = run_cli("selfcheck", "--seed", "3")

@@ -105,6 +105,17 @@ class TestScenarioSpec:
             spec, "mker", master_seed=1
         )
 
+    def test_equal_reports_hash_equal(self):
+        spec = make_scenario("A", dist="t3", N=20, T=20, reps=3)
+        a = run_scenario(spec, "mker,er", master_seed=4)
+        b = run_scenario(spec, "mker,er", master_seed=4)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert hash(a.per_method["er"]) == hash(b.per_method["er"])
+        assert a.per_method["er"].histogram == b.per_method["er"].histogram  # still a dict
+        assert a != run_scenario(spec, "mker,er", master_seed=5)
+
     def test_neighbor_half_width_rule(self):
         assert neighbor_half_width(100) == 10
         assert neighbor_half_width(10) == 10

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from test_kendall import enumerate_rows, t_factor_panel
 
 import robustfactors.estimators as estimators
+import robustfactors.rolling as rolling
 from robustfactors.elliptical import RngStream
-from robustfactors.estimators import EstimatorConfig, estimate_many
+from robustfactors.estimators import KENDALL_METHODS, EstimatorConfig, _evaluate, estimate_many
 from robustfactors.kendall import pair_weight_band, sample_kendall_tau, window_kendall_tau
 from robustfactors.montecarlo import generate_panel, make_scenario, method_configs
 from robustfactors.panel import DataPanel, double_demean
 from robustfactors.rolling import rolling_estimate, write_rolling_csv
+from robustfactors.spectrum import build_spectrum
 
 
 def two_configs(k_max=4):
@@ -40,7 +42,6 @@ class TestRollingMechanics:
         panel = DataPanel(rng.standard_normal((40, 10)))
         result = rolling_estimate(panel, window=20, configs=two_configs())
         assert result.window == 20
-        assert result.start_index == 20
         path = result.by_method("mker")
         assert len(path) == 21
         assert [label for label, _ in path] == [str(i) for i in range(20, 41)]
@@ -127,6 +128,21 @@ class TestRollingValidation:
         panel = DataPanel(rng.standard_normal((20, 8)))
         with pytest.raises(ValueError, match="^no methods given$"):
             rolling_estimate(panel, window=10, configs={})
+
+    def test_too_few_series_for_k_max_rejected(self, rng):
+        panel = DataPanel(rng.standard_normal((40, 9)))
+        configs = {"mker": EstimatorConfig("mker", k_max=3), "er": EstimatorConfig("er", k_max=8)}
+        message = r"^panel too small: min\(N, T\) = 9 < k_max \+ 2 = 10$"
+        with pytest.raises(ValueError, match=message):
+            rolling_estimate(panel, window=20, configs=configs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gram_overflow_raises(self, rng):
+        # the Kendall path is scale-safe; the Gram product of rows near 1e160 is not
+        Y = rng.standard_normal((60, 20))
+        Y[30:] *= 1e160
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            rolling_estimate(DataPanel(Y), window=20, configs=method_configs(None, k_max=3))
 
 
 class TestRollingCsv:
@@ -299,3 +315,117 @@ class TestSharedPairWeights:
             window_kendall_tau(band, 13)
         with pytest.raises(ValueError, match="degenerate"):
             window_kendall_tau(pair_weight_band(np.ones((20, 4)), 8), 0)
+
+
+def old_eigenvalues_sym(A):
+    """eigenvalues_sym as it was before it passed exactly symmetric input through."""
+    A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
+    if float(np.abs(A - A.T).max()) > 1e-8:
+        raise ValueError("asymmetric")
+    return np.ascontiguousarray(np.linalg.eigvalsh(0.5 * (A + A.T))[::-1])
+
+
+def old_estimate_many(panel, configs, kendall):
+    """The per-window path before the decision core: ``_estimate_many(DataPanel(window),
+    configs, kendall)``, copied with the double demeaning and Gram spectrum of that version."""
+    if panel.has_missing:
+        raise ValueError("panel has missing values; impute first")
+    T, N = panel.shape
+    values_cache, raw_cache, spectra, results = {}, {}, {}, {}
+
+    def demeaned(mode):
+        if mode not in values_cache:
+            y = panel.values
+            if mode == "double":
+                row_mean = y.mean(axis=1, keepdims=True)
+                col_mean = y.mean(axis=0, keepdims=True)
+                grand = y.mean()
+                y = DataPanel(y - row_mean - col_mean + grand).values
+            values_cache[mode] = y
+        return values_cache[mode]
+
+    for name, config in configs.items():
+        if min(N, T) < config.k_max + 2:
+            raise ValueError("panel too small")
+        path = "kendall" if config.method in KENDALL_METHODS else "covariance"
+        key = (path, config.demean)
+        if key not in raw_cache:
+            if path == "kendall":
+                kt = kendall(config.demean)
+                if kt is None:
+                    kt = sample_kendall_tau(demeaned(config.demean))
+                raw_cache[key] = old_eigenvalues_sym(kt.matrix)
+            else:
+                Y = demeaned(config.demean)
+                G = Y @ Y.T if Y.shape[0] <= Y.shape[1] else Y.T @ Y
+                G /= Y.shape[0] * Y.shape[1]
+                raw_cache[key] = old_eigenvalues_sym(G)
+        skey = (*key, config.c)
+        if skey not in spectra:
+            spectra[skey] = build_spectrum(raw_cache[key], N=N, T=T, c=config.c)
+        results[name] = _evaluate(spectra[skey], config)
+    return results
+
+
+# all five methods in both demeaning modes, plus a second c and k_max
+CORE_CONFIGS = (
+    method_configs(None)
+    | {f"{m}_none": cfg for m, cfg in method_configs(None, demean="none").items()}
+    | {
+        "mktcr_c": EstimatorConfig(method="mktcr", k_max=5, c=0.05),
+        "gr_c": EstimatorConfig(method="gr", c=0.05),
+    }
+)
+
+
+class TestDecisionCore:
+    """rolling_estimate and estimate_many against the path they replaced, to the byte."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0])  # t_0.5 and Cauchy
+    def test_windows_match_the_per_window_path(self, nu):
+        Y = t_factor_panel(nu, seed=23, T=100, N=24)
+        Y[45:52] *= 1e-9  # rows 2^30 below the peak: the windows over them fall back
+        window = 40
+        decisions = []
+
+        def record(*args):
+            out = core(*args)
+            decisions.append(out)
+            return out
+
+        core = rolling._decide
+        with mock.patch.object(rolling, "_decide", record):
+            result = rolling_estimate(DataPanel(Y), window, CORE_CONFIGS)
+        bands = {
+            "none": pair_weight_band(Y, window),
+            "double": pair_weight_band(row_demeaned(Y), window),
+        }
+        covered = [bands["double"].covers(s) for s in range(61)]
+        assert any(covered) and not all(covered)
+        assert len(decisions) == 61
+        for start, (got, row) in enumerate(zip(decisions, result.rows())):
+            ref = old_estimate_many(
+                DataPanel(Y[start : start + window]), CORE_CONFIGS,
+                lambda mode: (
+                    window_kendall_tau(bands[mode], start) if bands[mode].covers(start) else None
+                ),
+            )
+            assert row[1:] == tuple(ref[m].r_hat for m in CORE_CONFIGS)
+            for m, res in ref.items():
+                assert got[m].r_hat == res.r_hat, (start, m)
+                assert np.array_equal(
+                    got[m].ratio_series.view(np.int64), res.ratio_series.view(np.int64)
+                ), (start, m)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_estimate_many_matches_the_per_panel_path(self, nu):
+        panel = DataPanel(t_factor_panel(nu, seed=29, T=90, N=35))
+        got = estimate_many(panel, CORE_CONFIGS)
+        ref = old_estimate_many(panel, CORE_CONFIGS, lambda mode: None)
+        for m, res in ref.items():
+            assert got[m].r_hat == res.r_hat
+            assert np.array_equal(
+                got[m].ratio_series.view(np.int64), res.ratio_series.view(np.int64)
+            )

@@ -27,12 +27,19 @@ class TestEigenvaluesSym:
         A = (Q * lam) @ Q.T
         np.testing.assert_allclose(eigenvalues_sym(A), lam, atol=1e-10)
 
-    def test_check_mode_passes_on_clean_input(self, rng):
-        A = rng.standard_normal((6, 6))
-        A = A + A.T
-        a = eigenvalues_sym(A, check=True)
-        b = eigenvalues_sym(A)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    def test_symmetric_input_matches_the_symmetrized_solve(self, rng):
+        # An exactly symmetric matrix goes to eigvalsh as it is; the bytes are
+        # those of the symmetrized copy, and of a full decomposition to 1e-12.
+        Y = rng.standard_t(1.0, size=(60, 12))
+        matrices = [sample_kendall_tau(Y).matrix, Y.T @ Y, Y @ Y.T, rng.standard_normal((6, 6))]
+        matrices[-1] = matrices[-1] + matrices[-1].T
+        for A in matrices:
+            assert (A == A.T).all()
+            got = eigenvalues_sym(A)
+            ref = np.linalg.eigvalsh(0.5 * (A + A.T))[::-1]
+            assert got.tobytes() == ref.tobytes()
+            full = np.linalg.eigh(A)[0][::-1]
+            np.testing.assert_allclose(got, full, atol=1e-12 * np.abs(full).max())
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
