@@ -43,11 +43,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _progress_printer(tag: str, total: int):
-    step = max(1, total // 10)
-
-    def report(done: int, _total: int):
-        if done % step == 0 or done == total:
+def _progress_printer(tag: str):
+    def report(done: int, total: int):
+        if done % max(1, total // 10) == 0 or done == total:
             print(f"{tag}: {done}/{total}", file=sys.stderr)
 
     return report
@@ -76,17 +74,11 @@ def _add_input_flags(sub):
 
 
 def _cmd_simulate(args) -> int:
-    knobs = {"reps": args.reps}
-    for key, value in [("N", args.N), ("T", args.T), ("dist", args.dist),
-                       ("snr", args.snr), ("k_max", args.kmax)]:
-        if value is not None:
-            knobs[key] = value
-    spec = make_scenario(args.scenario, **knobs)
+    spec = make_scenario(args.scenario, N=args.N, T=args.T, dist=args.dist, snr=args.snr,
+                         k_max=args.kmax, reps=args.reps)
     configs = method_configs(args.methods, k_max=spec.k_max, c=args.c)
-    report = run_scenario(
-        spec, configs, master_seed=args.seed,
-        progress=_progress_printer("simulate", spec.reps),
-    )
+    report = run_scenario(spec, configs, master_seed=args.seed,
+                          progress=_progress_printer("simulate"))
     print(format_report_table(report))
     if args.out:
         write_report_csv(report, args.out)
@@ -125,11 +117,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_rolling(args) -> int:
     panel = _load_panel(args)
     configs = method_configs(args.methods, k_max=args.kmax, c=args.c)
-    n_windows = max(panel.shape[0] - args.window + 1, 1)
-    result = rolling_estimate(
-        panel, args.window, configs,
-        progress=_progress_printer("rolling", n_windows),
-    )
+    result = rolling_estimate(panel, args.window, configs, progress=_progress_printer("rolling"))
     if args.out:
         write_rolling_csv(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -141,8 +129,8 @@ def _cmd_rolling(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    for name, build in scenario_catalog().items():
-        print(f"{name:<4} {build.__doc__}")
+    for name, line in scenario_catalog().items():
+        print(f"{name:<4} {line}")
     return 0
 
 

@@ -98,25 +98,37 @@ def _frame(Y: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _block_weights(Zb, Zc, sqb, sqc, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of the pairs marked in ``pairs`` between the rows of Zb and of Zc.
+def _weight_blocks(Z: np.ndarray, width: int):
+    """Row blocks of the weights of the row pairs 0 < j - i < ``width`` of Z.
 
-    A pair (i, j) gets w_ij = 1/s_ij from its Gram distance
-    s_ij = |z_i|^2 + |z_j|^2 - 2 z_i.z_j (``sqb`` and ``sqc`` hold the squared
-    norms), unless the subtraction cancels (see ``_FIXUP_TAU``). Such a pair
-    gets weight 0 and is marked in the returned mask, to be summed directly
-    (see :func:`_direct_pairs`); so is a pair with s_ij <= ``_FIXUP_FLOOR``.
+    Z comes from :func:`_frame`. Yields ``(a, b, c, pairs, W, fix)`` per
+    block: rows i in [a, b) against columns j in [a, c), the mask of the
+    pairs among them, and their weights w_ij = 1/s_ij from the Gram distance
+    s_ij = |z_i|^2 + |z_j|^2 - 2 z_i.z_j. A pair whose subtraction cancels
+    (see ``_FIXUP_TAU``), or with s_ij <= ``_FIXUP_FLOOR``, gets weight 0 and
+    is marked in ``fix``, to be summed directly (see :func:`_direct_pairs`).
     """
-    s = Zb @ Zc.T
-    s *= -2.0
-    s += sqb[:, None]
-    s += sqc[None, :]
-    lim = np.add.outer(sqb, sqc)
-    lim *= _FIXUP_TAU
-    np.maximum(lim, _FIXUP_FLOOR, out=lim)
-    fix = pairs & (s <= lim)
-    W = np.divide(1.0, s, out=np.zeros_like(s), where=pairs & ~fix)
-    return W, fix
+    T = Z.shape[0]
+    sq = np.einsum("ij,ij->i", Z, Z)
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // width))
+    for a in range(0, T - 1, step):
+        b = min(a + step, T - 1)
+        c = min(b + width - 1, T)
+        rows, cols = np.arange(a, b)[:, None], np.arange(a, c)
+        pairs = cols > rows
+        if c - a > width:  # the block reaches pairs width or more rows apart
+            pairs &= cols < rows + width
+        s = Z[a:b] @ Z[a:c].T
+        s *= -2.0
+        s += sq[a:b, None]
+        s += sq[None, a:c]
+        lim = np.add.outer(sq[a:b], sq[a:c])
+        lim *= _FIXUP_TAU
+        np.maximum(lim, _FIXUP_FLOOR, out=lim)
+        fix = pairs & (s <= lim)
+        W = np.divide(1.0, s, out=np.zeros_like(s), where=pairs & ~fix)
+        del s, lim  # freed while the caller works on W, as a function return would
+        yield a, b, c, pairs, W, fix
 
 
 def _direct_pairs(Zb, Zc, fix):
@@ -124,14 +136,19 @@ def _direct_pairs(Zb, Zc, fix):
 
     D is z_i - z_j times the power of two that brings its largest magnitude
     into [1/2, 1). That leaves outer(D, D)/|D|^2 unchanged to the bit and
-    keeps |D|^2 from underflowing, so a pair is dropped only when its rows
-    are equal: the last item marks the pairs kept.
+    keeps |D|^2 from underflowing, so |D|^2 is 0 only when the rows are equal.
     """
     rows, cols = np.nonzero(fix)
     D = Zb[rows] - Zc[cols]
     D = np.ldexp(D, -np.frexp(np.abs(D).max(axis=1, initial=0.0))[1][:, None])
-    d2 = np.einsum("ij,ij->i", D, D)
-    return rows, cols, D, d2, d2 > 0.0
+    return rows, cols, D, np.einsum("ij,ij->i", D, D)
+
+
+def _direct_sum(D, d2) -> tuple[np.ndarray, int, int]:
+    """Sum of outer(D, D)/|D|^2 over the pairs with d2 > 0, plus dropped and kept counts."""
+    kept = d2 > 0.0
+    D, d2 = D[kept], d2[kept]
+    return D.T @ (D / d2[:, None]), int(kept.size - d2.size), int(d2.size)
 
 
 def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -140,32 +157,24 @@ def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
     Z comes from :func:`_frame`. With w_ij = 1/|z_i - z_j|^2 on i < j, the sum
     equals Z^T diag(deg) Z - (Z^T W Z + its transpose), deg_i being the total
     weight of the pairs that contain row i. Row blocks of W come from
-    :func:`_block_weights`; the pairs it leaves out are added directly, and
+    :func:`_weight_blocks`; the pairs it leaves out are added directly, and
     exactly equal rows are dropped.
     """
     T, N = Z.shape
-    sq = np.einsum("ij,ij->i", Z, Z)
     deg = np.zeros(T)
     cross = np.zeros((N, N))
     direct = np.zeros((N, N))
-    dropped = 0
-    n_direct = 0
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // T))
-    for a in range(0, T - 1, step):
-        b = min(a + step, T - 1)
-        Zb, Zc = Z[a:b], Z[a:]
-        # block rows i in [a, b) against columns j in [a, T); only j > i are pairs
-        upper = np.arange(T - a)[None, :] > np.arange(b - a)[:, None]
-        W, fix = _block_weights(Zb, Zc, sq[a:b], sq[a:], upper)
+    dropped = n_direct = 0
+    for a, b, _, _, W, fix in _weight_blocks(Z, T):
         deg[a:b] += W.sum(axis=1)
         deg[a:] += W.sum(axis=0)
-        cross += Zb.T @ (W @ Zc)
+        cross += Z[a:b].T @ (W @ Z[a:])
         if fix.any():
-            rows, _, D, d2, kept = _direct_pairs(Zb, Zc, fix)
-            D, d2 = D[kept], d2[kept]
-            dropped += rows.size - d2.size
-            n_direct += d2.size
-            direct += D.T @ (D / d2[:, None])
+            _, _, D, d2 = _direct_pairs(Z[a:b], Z[a:], fix)
+            block, n_drop, n_kept = _direct_sum(D, d2)
+            direct += block
+            dropped += n_drop
+            n_direct += n_kept
     total = (Z.T * deg) @ Z - (cross + cross.T) + direct
     return 0.5 * (total + total.T), dropped, n_direct
 
@@ -298,22 +307,14 @@ def pair_weight_band(panel, window: int) -> PairWeightBand:
     far = (row_peak > 0.0) & (np.frexp(row_peak)[1] < low)
     L = 2 * window - 1
     weights = np.zeros((T, L))
-    sq = np.einsum("ij,ij->i", Z, Z)
     pairs_out = []
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // window))
-    for a in range(0, T - 1, step):
-        b = min(a + step, T - 1)
-        c = min(b + window - 1, T)
-        # block rows i in [a, b) against columns j in [a, c); pairs have 0 < j - i < window
-        gap = np.arange(c - a)[None, :] - np.arange(b - a)[:, None]
-        band = (gap > 0) & (gap < window)
-        W, fix = _block_weights(Z[a:b], Z[a:c], sq[a:b], sq[a:c], band)
+    for a, b, c, pairs, W, fix in _weight_blocks(Z, window):
         # w_ij goes to weights[i, window - 1 + (j - i)] and to weights[j, window - 1 - (j - i)]
         base = a * L + window - 1
-        np.copyto(_flat_view(weights, base, (b - a, c - a), (L - 1, 1)), W, where=band)
-        np.copyto(_flat_view(weights, base, (b - a, c - a), (1, L - 1)), W, where=band)
+        np.copyto(_flat_view(weights, base, W.shape, (L - 1, 1)), W, where=pairs)
+        np.copyto(_flat_view(weights, base, W.shape, (1, L - 1)), W, where=pairs)
         if fix.any():
-            rows, cols, D, d2, _ = _direct_pairs(Z[a:b], Z[a:c], fix)
+            rows, cols, D, d2 = _direct_pairs(Z[a:b], Z[a:c], fix)
             pairs_out.append((a + rows, a + cols, D, d2))
     if pairs_out:
         pair_rows, pair_cols, pair_diffs, pair_sq = (np.concatenate(x) for x in zip(*pairs_out))
@@ -349,11 +350,8 @@ def window_kendall_tau(band: PairWeightBand, start: int) -> KendallTauMatrix:
     dropped = n_direct = 0
     if band.pair_rows.size:
         inside = (band.pair_rows >= start) & (band.pair_cols < stop)
-        D, d2 = band.pair_diffs[inside], band.pair_sq[inside]
-        kept = d2 > 0.0
-        D, d2 = D[kept], d2[kept]
-        dropped, n_direct = int(kept.size - d2.size), int(d2.size)
-        total += D.T @ (D / d2[:, None])
+        block, dropped, n_direct = _direct_sum(band.pair_diffs[inside], band.pair_sq[inside])
+        total += block
     return _average(0.5 * (total + total.T), w, dropped, n_direct)
 
 

@@ -112,108 +112,67 @@ def _scatter(spec: ScenarioSpec) -> np.ndarray:
     return np.ones(spec.N + spec.r)
 
 
-def _reject(name, **knobs):
-    for key, value in knobs.items():
-        if value is not None:
-            raise ValueError(f"scenario {name} does not take {key}")
+# name: (fixed dist or None, theta, r, fixed N = T or None, spiked factor or None,
+# the line `robustfactors catalog` prints). A fixed dist marks the correlated-error
+# family: rho = 0.5, beta = 0.2 and J = neighbor_half_width(N); A has iid errors.
+_CATALOG = {
+    "A": (None, 1.0, 3, None, None, "r=3, iid errors; knobs: dist (required), N, T"),
+    "B1": ("gaussian", 1.0, 3, None, None,
+           "r=3 gaussian, rho=0.5 beta=0.2 J=max(10,N/20); knobs: N, T"),
+    "B2": ("gaussian", 6.0, 3, None, None, "B1 with noise scale theta=6; knobs: N, T"),
+    "B3": ("gaussian", 1.0, 3, 100, 2, "B1 at N=T=100, third factor strength set by --snr"),
+    "B4": ("gaussian", 1.0, 3, 100, None, "B1 at N=T=100 for k_max sweeps; knob: k_max"),
+    "B5": ("gaussian", 1.0, 2, 100, 0,
+           "r=2 gaussian at N=T=100, first factor strength set by --snr"),
+    "C1": ("t3", 1.0, 3, None, None, "B1 with multivariate t3 draws; knobs: N, T"),
+    "C2": ("t3", 6.0, 3, None, None, "C1 with noise scale theta=6; knobs: N, T"),
+    "C3": ("t3", 1.0, 3, 150, 2, "B3 with t3 draws at N=T=150"),
+    "C4": ("t3", 1.0, 3, 150, None, "B4 with t3 draws at N=T=150; knob: k_max"),
+    "C5": ("t3", 1.0, 2, 150, 0, "B5 with t3 draws at N=T=150"),
+}
 
 
-def _require(name, **knobs):
-    for key, value in knobs.items():
+def scenario_catalog() -> dict[str, str]:
+    """The one-line description of each catalog scenario, by name."""
+    return {name: row[-1] for name, row in _CATALOG.items()}
+
+
+def make_scenario(name: str, N=None, T=None, dist=None, snr=None, k_max=None,
+                  reps=200) -> ScenarioSpec:
+    """Build a catalog scenario by name, with its fixed constants.
+
+    A takes dist, N and T; B1/B2/C1/C2 take N and T; B3-B5 fix N = T = 100
+    and C3-C5 fix N = T = 150. B3/B5/C3/C5 require snr, the scatter of their
+    spiked factor. Every scenario takes reps and k_max (default 8).
+    """
+    if name not in _CATALOG:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(_CATALOG)}")
+    fixed_dist, theta, r, size, spiked, _ = _CATALOG[name]
+    if fixed_dist is not None and dist is not None:
+        raise ValueError(f"scenario {name} fixes its distribution ({fixed_dist})")
+    if size is not None:
+        if N is not None or T is not None:
+            raise ValueError(f"scenario {name} fixes N = T = {size}")
+        N = T = size
+    dist = fixed_dist or dist
+    for key, value in (("N", N), ("T", T), ("dist", dist)):
         if value is None:
             raise ValueError(f"scenario {name} requires {key}")
-
-
-def _spiked_diag(N: int, r: int, position: int, snr: float) -> np.ndarray:
-    d = np.ones(N + r)
-    d[position] = snr
-    return d
-
-
-def _build_a(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
-    _require("A", N=N, T=T, dist=dist)
-    _reject("A", snr=snr)
+    if (spiked is None) != (snr is None):
+        verb = "does not take" if spiked is None else "requires"
+        raise ValueError(f"scenario {name} {verb} snr")
+    scatter = None
+    if spiked is not None:
+        if not snr > 0:
+            raise ValueError("snr must be positive")
+        scatter = np.ones(N + r)
+        scatter[spiked] = snr
+    iid = fixed_dist is None
     return ScenarioSpec(
-        name="A", r=3, theta=1.0, rho=0.0, beta=0.0, J=0,
-        dist=dist, N=N, T=T, k_max=8 if k_max is None else k_max, reps=reps,
+        name=name, r=r, theta=theta, rho=0.0 if iid else 0.5, beta=0.0 if iid else 0.2,
+        J=0 if iid else neighbor_half_width(N), dist=dist, N=N, T=T,
+        k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
     )
-
-
-# Each builder's __doc__ is the one-line description `robustfactors catalog`
-# prints. It is assigned rather than written as a docstring so that python -OO,
-# which strips docstrings, keeps it.
-_build_a.__doc__ = "r=3, iid errors; knobs: dist (required), N, T"
-
-
-def _correlated(name, dist, note, r=3, theta=1.0):
-    fixed_size = {"B3": 100, "B4": 100, "B5": 100, "C3": 150, "C4": 150, "C5": 150}
-    snr_position = {"B3": 2, "C3": 2, "B5": 0, "C5": 0}
-    dominant_r = {"B5": 2, "C5": 2}
-
-    fixed_dist = dist
-
-    def build(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
-        if dist is not None:
-            raise ValueError(f"scenario {name} fixes its distribution ({fixed_dist})")
-        dist = fixed_dist
-        if name in fixed_size:
-            if N is not None or T is not None:
-                raise ValueError(f"scenario {name} fixes N = T = {fixed_size[name]}")
-            N = T = fixed_size[name]
-        else:
-            _require(name, N=N, T=T)
-        rr = dominant_r.get(name, r)
-        scatter = None
-        if name in snr_position:
-            _require(name, snr=snr)
-            if not snr > 0:
-                raise ValueError("snr must be positive")
-            scatter = _spiked_diag(N, rr, snr_position[name], snr)
-        elif snr is not None:
-            raise ValueError(f"scenario {name} does not take snr")
-        return ScenarioSpec(
-            name=name, r=rr, theta=theta, rho=0.5, beta=0.2,
-            J=neighbor_half_width(N), dist=dist, N=N, T=T,
-            k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
-        )
-
-    build.__doc__ = note
-    return build
-
-
-def scenario_catalog():
-    """Named scenario constructors with the catalog's fixed constants.
-
-    Free knobs per scenario: A takes dist and N = T; B1/B2/C1/C2 take N = T;
-    B3/C3 and B5/C5 take snr; B4/C4 take k_max. Every constructor accepts
-    reps and k_max. Each constructor's ``__doc__`` describes its scenario in
-    one line.
-    """
-    return {
-        "A": _build_a,
-        "B1": _correlated(
-            "B1", "gaussian", "r=3 gaussian, rho=0.5 beta=0.2 J=max(10,N/20); knobs: N, T"
-        ),
-        "B2": _correlated("B2", "gaussian", "B1 with noise scale theta=6; knobs: N, T", theta=6.0),
-        "B3": _correlated("B3", "gaussian", "B1 at N=T=100, third factor strength set by --snr"),
-        "B4": _correlated("B4", "gaussian", "B1 at N=T=100 for k_max sweeps; knob: k_max"),
-        "B5": _correlated(
-            "B5", "gaussian", "r=2 gaussian at N=T=100, first factor strength set by --snr"
-        ),
-        "C1": _correlated("C1", "t3", "B1 with multivariate t3 draws; knobs: N, T"),
-        "C2": _correlated("C2", "t3", "C1 with noise scale theta=6; knobs: N, T", theta=6.0),
-        "C3": _correlated("C3", "t3", "B3 with t3 draws at N=T=150"),
-        "C4": _correlated("C4", "t3", "B4 with t3 draws at N=T=150; knob: k_max"),
-        "C5": _correlated("C5", "t3", "B5 with t3 draws at N=T=150"),
-    }
-
-
-def make_scenario(name: str, **knobs) -> ScenarioSpec:
-    """Build a catalog scenario by name; see :func:`scenario_catalog`."""
-    catalog = scenario_catalog()
-    if name not in catalog:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(catalog)}")
-    return catalog[name](**knobs)
 
 
 def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> DataPanel:
@@ -338,28 +297,22 @@ def run_scenario(
     else:
         configs = method_configs(methods, k_max=spec.k_max)
     base = RngStream(master_seed, 0)
-    totals = {name: 0 for name in configs}
-    under = {name: 0 for name in configs}
-    over = {name: 0 for name in configs}
     hist: dict[str, dict[int, int]] = {name: {} for name in configs}
     for k in range(spec.reps):
         panel = generate_panel(spec, k, base)
         results = estimate_many(panel, configs)
         for name, res in results.items():
-            totals[name] += res.r_hat
-            under[name] += res.r_hat < spec.r
-            over[name] += res.r_hat > spec.r
             hist[name][res.r_hat] = hist[name].get(res.r_hat, 0) + 1
         if progress is not None:
             progress(k + 1, spec.reps)
     per_method = {
         name: CellStats(
-            mean=totals[name] / spec.reps,
-            under=under[name],
-            over=over[name],
-            histogram=hist[name],
+            mean=sum(r * n for r, n in h.items()) / spec.reps,
+            under=sum(n for r, n in h.items() if r < spec.r),
+            over=sum(n for r, n in h.items() if r > spec.r),
+            histogram=h,
         )
-        for name in configs
+        for name, h in hist.items()
     }
     return MonteCarloReport(scenario=spec, seed=master_seed, reps=spec.reps, per_method=per_method)
 

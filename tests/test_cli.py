@@ -73,6 +73,12 @@ class TestSimulate:
                        "--reps", "20", "--seed", "3")
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "simulate_c1.txt").read_text()
+        # a progress line every tenth of the replications, as the CLI has printed them
+        assert proc.stderr == (
+            "simulate: 2/20\nsimulate: 4/20\nsimulate: 6/20\nsimulate: 8/20\n"
+            "simulate: 10/20\nsimulate: 12/20\nsimulate: 14/20\nsimulate: 16/20\n"
+            "simulate: 18/20\nsimulate: 20/20\n"
+        )
 
     def test_repeat_runs_byte_identical(self):
         args = ("simulate", "--scenario", "A", "--dist", "t3", "--N", "30",
@@ -227,6 +233,12 @@ class TestRolling:
                        "--window", "20", "--kmax", "4")
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "rolling_stdout.txt").read_text()
+        # every fourth of the 41 windows and the last, as the CLI has printed them
+        assert proc.stderr == (
+            "rolling: 4/41\nrolling: 8/41\nrolling: 12/41\nrolling: 16/41\n"
+            "rolling: 20/41\nrolling: 24/41\nrolling: 28/41\nrolling: 32/41\n"
+            "rolling: 36/41\nrolling: 40/41\nrolling: 41/41\n"
+        )
 
     def test_csv_out_holds_the_stdout_rows(self, drifting_csv, tmp_path):
         out = tmp_path / "roll.csv"
@@ -261,7 +273,7 @@ class TestCatalogAndSelfcheck:
         assert proc.stdout == (GOLDEN / "catalog.txt").read_text()
 
     def test_catalog_survives_stripped_docstrings(self):
-        # python -OO drops docstrings; the catalog lines are assigned to __doc__
+        # python -OO drops docstrings; the catalog lines are table data, not docstrings
         proc = subprocess.run(
             [sys.executable, "-OO", "-m", "robustfactors.cli", "catalog"],
             capture_output=True, text=True, timeout=600,
