@@ -10,9 +10,8 @@ from ._errors import InvariantError, NumericalError
 from .elliptical import (
     EllipticalSpec,
     RngStream,
+    sample_elliptical,
     sample_elliptical_generic,
-    sample_gaussian,
-    sample_student_t,
 )
 from .estimators import (
     ALL_METHODS,
@@ -59,8 +58,7 @@ __all__ = [
     "double_demean",
     "RngStream",
     "EllipticalSpec",
-    "sample_gaussian",
-    "sample_student_t",
+    "sample_elliptical",
     "sample_elliptical_generic",
     "KendallTauMatrix",
     "sample_kendall_tau",

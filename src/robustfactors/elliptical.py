@@ -1,8 +1,9 @@
 """Seeded samplers for elliptical distributions.
 
-Covers the multivariate Gaussian, the multivariate t for any positive degrees
-of freedom (ν = 1 is the multivariate Cauchy), and the generic stochastic
-representation μ + ξAU with U uniform on the unit sphere.
+One sampler covers the multivariate Gaussian and the multivariate t for any
+positive degrees of freedom ν (ν = 1 is the multivariate Cauchy); a second
+draws from the generic stochastic representation μ + ξAU with U uniform on the
+unit sphere.
 
 Determinism contract
 --------------------
@@ -14,10 +15,9 @@ sample. Normal variates use ``Generator.standard_normal`` (ziggurat); this
 choice is fixed because bit-level reproducibility is part of the contract.
 
 Lane layout: lane 0 carries directional/normal draws, lane 1 carries radial
-draws (chi-square mixing variables, ξ). Because the Gaussian and Student-t
-samplers consume identical lane-0 sequences, samples driven by the same stream
-share directional components; dividing out the radial parts recovers identical
-unit vectors.
+draws (chi-square mixing variables, ξ). The lane-0 draws are the same whatever
+ν is, so samples driven by the same stream share directional components:
+dividing out the radial parts recovers identical unit vectors.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 __all__ = [
     "EllipticalSpec",
     "RngStream",
-    "sample_gaussian",
-    "sample_student_t",
+    "sample_elliptical",
     "sample_elliptical_generic",
 ]
 
@@ -64,63 +63,51 @@ class RngStream:
 
 @dataclass(frozen=True)
 class EllipticalSpec:
-    """Distribution family plus location and scatter factor.
+    """Location, scatter factor and radial law of an elliptical distribution.
 
     Parameters
     ----------
-    family : str
-        "gaussian" or "student_t".
     mu : np.ndarray
         Location d-vector.
     scatter_factor : np.ndarray
         d x q matrix A with A A^T = Σ. For diagonal Σ pass the elementwise
         square root.
     nu : float, optional
-        Degrees of freedom; required (and > 0) when family is "student_t".
+        Degrees of freedom of the multivariate t_ν, > 0 (ν = 1 is the
+        multivariate Cauchy); None, the default, is the Gaussian.
     """
 
-    family: str
     mu: np.ndarray
     scatter_factor: np.ndarray
     nu: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "student_t"):
-            raise ValueError(f"unknown family: {self.family!r}")
         mu = np.asarray(self.mu, dtype=np.float64)
         A = np.asarray(self.scatter_factor, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("scatter_factor must be a d x q matrix")
         if mu.ndim != 1 or mu.shape[0] != A.shape[0]:
             raise ValueError("mu length must equal scatter_factor row count")
-        if self.family == "student_t":
-            if self.nu is None or not self.nu > 0:
-                raise ValueError("student_t requires nu > 0")
+        if self.nu is not None:
+            if not self.nu > 0:
+                raise ValueError("nu must be > 0, or None for the Gaussian")
+            object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "scatter_factor", A)
 
-    @property
-    def dim(self) -> int:
-        return self.scatter_factor.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.scatter_factor.shape[1]
+def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Draw n i.i.d. rows μ + A g, scaled by sqrt(ν/w) when ``spec.nu`` is set.
 
-
-def _directional_normals(n: int, q: int, rng: RngStream) -> np.ndarray:
-    """n x q standard normals from the directional lane."""
-    gen = rng.generator(_LANE_DIRECTIONAL)
-    return gen.standard_normal((n, q))
-
-
-def sample_gaussian(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. rows μ + A g with g standard normal in q dimensions.
+    g is standard normal in q dimensions (the directional lane) and w is
+    chi-squared with ν degrees of freedom (the radial lane), independent. With
+    ``nu=None`` the rows are Gaussian N(μ, A A^T); with ν > 0 they are exactly
+    multivariate t_ν(μ, A A^T), and ν = 1 is the multivariate Cauchy.
 
     Parameters
     ----------
     spec : EllipticalSpec
-        Must have family "gaussian".
+        Location, scatter factor and degrees of freedom.
     n : int
         Number of rows, >= 1.
     rng : RngStream
@@ -131,31 +118,14 @@ def sample_gaussian(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
     np.ndarray
         n x d sample matrix.
     """
-    if spec.family != "gaussian":
-        raise ValueError("sample_gaussian requires a gaussian spec")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _directional_normals(n, spec.rank, rng)
-    return spec.mu + g @ spec.scatter_factor.T
-
-
-def sample_student_t(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. rows of a multivariate t_ν(μ, Σ) with Σ = A A^T.
-
-    Generated as μ + A g sqrt(ν/w) with g standard normal and w chi-squared
-    with ν degrees of freedom, independent. Exact for every ν > 0; ν = 1 is
-    the multivariate Cauchy. Directional draws come from the same lane as
-    :func:`sample_gaussian`, radial draws from a separate lane.
-    """
-    if spec.family != "student_t":
-        raise ValueError("sample_student_t requires a student_t spec")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    nu = float(spec.nu)  # validated > 0 at spec construction
-    g = _directional_normals(n, spec.rank, rng)
-    w = rng.generator(_LANE_RADIAL).chisquare(nu, size=n)
-    scale = np.sqrt(nu / w)[:, None]
-    return spec.mu + (g * scale) @ spec.scatter_factor.T
+    A = spec.scatter_factor
+    g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
+    if spec.nu is not None:
+        w = rng.generator(_LANE_RADIAL).chisquare(spec.nu, size=n)
+        g *= np.sqrt(spec.nu / w)[:, None]
+    return spec.mu + g @ A.T
 
 
 def sample_elliptical_generic(mu, A, xi_sampler, n: int, rng: RngStream) -> np.ndarray:
@@ -164,7 +134,7 @@ def sample_elliptical_generic(mu, A, xi_sampler, n: int, rng: RngStream) -> np.n
     Parameters
     ----------
     mu : array_like
-        Location d-vector.
+        Location d-vector; checked as :class:`EllipticalSpec` checks it.
     A : array_like
         d x q scatter factor.
     xi_sampler : callable
@@ -175,13 +145,13 @@ def sample_elliptical_generic(mu, A, xi_sampler, n: int, rng: RngStream) -> np.n
     rng : RngStream
         Stream value.
     """
-    mu = np.asarray(mu, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] < 1:
         raise ValueError("A must be d x q with q >= 1")
+    mu = EllipticalSpec(mu, A).mu
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _directional_normals(n, A.shape[1], rng)
+    g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     # P(g = 0) is zero; guard anyway so a pathological draw fails loudly.
     if np.any(norms == 0.0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptical import EllipticalSpec, RngStream, sample_gaussian, sample_student_t
+from .elliptical import EllipticalSpec, RngStream, sample_elliptical
 from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
 from .panel import DataPanel
 
@@ -39,14 +39,9 @@ __all__ = [
     "format_report_table",
 ]
 
-DIST_CHOICES = ("gaussian", "t3", "t2", "cauchy")
-
-_DIST_PARAMS = {
-    "gaussian": ("gaussian", None),
-    "t3": ("student_t", 3.0),
-    "t2": ("student_t", 2.0),
-    "cauchy": ("student_t", 1.0),
-}
+# dist -> degrees of freedom of the multivariate t draws; None is the Gaussian
+_DIST_NU = {"gaussian": None, "t3": 3.0, "t2": 2.0, "cauchy": 1.0}
+DIST_CHOICES = tuple(_DIST_NU)
 
 
 def neighbor_half_width(N: int) -> int:
@@ -104,12 +99,6 @@ class ScenarioSpec:
     def label(self) -> str:
         """Scenario tag for reports; Scenario A carries its distribution."""
         return f"{self.name}-{self.dist}" if self.name == "A" else self.name
-
-
-def _scatter(spec: ScenarioSpec) -> np.ndarray:
-    if spec.scatter_diag is not None:
-        return np.array(spec.scatter_diag)
-    return np.ones(spec.N + spec.r)
 
 
 # name: (fixed dist or None, theta, r, fixed N = T or None, spiked factor or None,
@@ -188,14 +177,10 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     stream = RngStream(rng.master_seed, rng.stream_index + replication)
     N, T, r = spec.N, spec.T, spec.r
     q = N + r
-    family, nu = _DIST_PARAMS[spec.dist]
-    scatter_factor = np.diag(np.sqrt(_scatter(spec)))
-    espec = EllipticalSpec(family=family, mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
+    scatter = np.ones(q) if spec.scatter_diag is None else np.array(spec.scatter_diag)
+    espec = EllipticalSpec(np.zeros(q), np.diag(np.sqrt(scatter)), _DIST_NU[spec.dist])
     n_draws = T + spec.burn_in
-    if family == "gaussian":
-        X = sample_gaussian(espec, n_draws, stream)
-    else:
-        X = sample_student_t(espec, n_draws, stream)
+    X = sample_elliptical(espec, n_draws, stream)
     F = X[spec.burn_in:, :r]
     V = X[:, r:]
 

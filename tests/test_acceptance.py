@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustfactors.elliptical import EllipticalSpec, RngStream, sample_gaussian, sample_student_t
+from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, KENDALL_METHODS, EstimatorConfig, estimate_many
 from robustfactors.kendall import (
     han_lower_bound,
@@ -219,8 +219,8 @@ def test_criterion_09_population_oracle_closure():
     oracle = population_kendall_eigenvalues_oracle(sigma, 1_000_000, RngStream(SEED, 1))
     oracle_sorted = np.sort(oracle)[::-1]
 
-    spec = EllipticalSpec(family="gaussian", mu=np.zeros(N), scatter_factor=np.diag(np.sqrt(sigma)))
-    X = sample_gaussian(spec, 20_000, RngStream(SEED, 0))
+    spec = EllipticalSpec(mu=np.zeros(N), scatter_factor=np.diag(np.sqrt(sigma)))
+    X = sample_elliptical(spec, 20_000, RngStream(SEED, 0))
     empirical = eigenvalues_sym(sample_kendall_tau(X).matrix)
 
     diffs = np.abs(empirical[:4] - oracle_sorted[:4])
@@ -236,11 +236,11 @@ def test_criterion_09_population_oracle_closure():
 def test_criterion_10_radial_law_invariance():
     sigma = np.linspace(5.0, 0.5, 10)
     A = np.diag(np.sqrt(sigma))
-    gauss = EllipticalSpec(family="gaussian", mu=np.zeros(10), scatter_factor=A)
-    cauchy = EllipticalSpec(family="student_t", mu=np.zeros(10), scatter_factor=A, nu=1.0)
+    gauss = EllipticalSpec(mu=np.zeros(10), scatter_factor=A)
+    cauchy = EllipticalSpec(mu=np.zeros(10), scatter_factor=A, nu=1.0)
     stream = RngStream(7, 3)
-    KG = sample_kendall_tau(sample_gaussian(gauss, 2000, stream)).matrix
-    KC = sample_kendall_tau(sample_student_t(cauchy, 2000, stream)).matrix
+    KG = sample_kendall_tau(sample_elliptical(gauss, 2000, stream)).matrix
+    KC = sample_kendall_tau(sample_elliptical(cauchy, 2000, stream)).matrix
     gap = float(np.linalg.norm(KG - KC, 2))
     assert gap < 0.05
     print(f"PASS criterion 10: spectral-norm gap {gap:.5f} < 0.05 between Gaussian and Cauchy")

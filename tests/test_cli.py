@@ -4,10 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from robustfactors import cli
 
 
 def run_cli(*args):
@@ -293,10 +296,18 @@ class TestCatalogAndSelfcheck:
         b = run_cli("selfcheck", "--seed", "3")
         assert a.stdout == b.stdout
 
-    def test_corrupted_matrix_trips_invariant_gate(self):
-        proc = run_cli("selfcheck", "--corrupt")
-        assert proc.returncode == 3
-        assert "invariant violation" in proc.stderr
+    def test_corrupted_matrix_trips_invariant_gate(self, monkeypatch, capsys):
+        real = cli.sample_kendall_tau
+
+        def corrupted(Y):
+            kt = real(Y)
+            matrix = kt.matrix.copy()
+            matrix[0, 1] += 1e-3
+            return replace(kt, matrix=matrix)
+
+        monkeypatch.setattr(cli, "sample_kendall_tau", corrupted)
+        assert cli.main(["selfcheck"]) == 3
+        assert "invariant violation" in capsys.readouterr().err
 
 
 class TestParser:

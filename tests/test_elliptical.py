@@ -7,23 +7,17 @@ from scipy import stats
 from robustfactors.elliptical import (
     EllipticalSpec,
     RngStream,
+    sample_elliptical,
     sample_elliptical_generic,
-    sample_gaussian,
-    sample_student_t,
 )
 
 
 def gauss_spec(d, mu=None, A=None):
-    return EllipticalSpec(
-        family="gaussian",
-        mu=np.zeros(d) if mu is None else mu,
-        scatter_factor=np.eye(d) if A is None else A,
-    )
+    return t_spec(d, None, mu=mu, A=A)
 
 
 def t_spec(d, nu, mu=None, A=None):
     return EllipticalSpec(
-        family="student_t",
         mu=np.zeros(d) if mu is None else mu,
         scatter_factor=np.eye(d) if A is None else A,
         nu=nu,
@@ -32,18 +26,18 @@ def t_spec(d, nu, mu=None, A=None):
 
 class TestRngStream:
     def test_same_value_same_sample(self):
-        a = sample_gaussian(gauss_spec(3), 50, RngStream(11, 2))
-        b = sample_gaussian(gauss_spec(3), 50, RngStream(11, 2))
+        a = sample_elliptical(gauss_spec(3), 50, RngStream(11, 2))
+        b = sample_elliptical(gauss_spec(3), 50, RngStream(11, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_gaussian(gauss_spec(3), 50, RngStream(11, 0))
-        b = sample_gaussian(gauss_spec(3), 50, RngStream(11, 1))
+        a = sample_elliptical(gauss_spec(3), 50, RngStream(11, 0))
+        b = sample_elliptical(gauss_spec(3), 50, RngStream(11, 1))
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = sample_gaussian(gauss_spec(3), 50, RngStream(11, 0))
-        b = sample_gaussian(gauss_spec(3), 50, RngStream(12, 0))
+        a = sample_elliptical(gauss_spec(3), 50, RngStream(11, 0))
+        b = sample_elliptical(gauss_spec(3), 50, RngStream(12, 0))
         assert not np.array_equal(a, b)
 
     def test_negative_stream_index_rejected(self):
@@ -58,57 +52,47 @@ class TestRngStream:
 
 
 class TestSpecValidation:
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
-            EllipticalSpec(family="uniform", mu=np.zeros(2), scatter_factor=np.eye(2))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mu length"):
-            EllipticalSpec(family="gaussian", mu=np.zeros(3), scatter_factor=np.eye(2))
+            EllipticalSpec(mu=np.zeros(3), scatter_factor=np.eye(2))
 
     def test_student_t_requires_nu(self):
-        with pytest.raises(ValueError, match="nu"):
-            EllipticalSpec(family="student_t", mu=np.zeros(2), scatter_factor=np.eye(2))
-        with pytest.raises(ValueError, match="nu"):
-            EllipticalSpec(family="student_t", mu=np.zeros(2), scatter_factor=np.eye(2), nu=-1.0)
-
-    def test_family_dispatch_enforced(self):
-        with pytest.raises(ValueError):
-            sample_student_t(gauss_spec(2), 5, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_gaussian(t_spec(2, 3.0), 5, RngStream(0))
+        # the t_nu needs nu > 0; nu=None is the Gaussian, not a missing nu
+        for nu in (0, 0.0, -1.0, float("nan"), -np.inf):
+            with pytest.raises(ValueError, match="nu"):
+                EllipticalSpec(mu=np.zeros(2), scatter_factor=np.eye(2), nu=nu)
 
 
 class TestGaussian:
     def test_zero_scatter_returns_location(self):
         mu = np.array([2.0, -1.0])
         spec = gauss_spec(2, mu=mu, A=np.zeros((2, 2)))
-        X = sample_gaussian(spec, 10, RngStream(3))
+        X = sample_elliptical(spec, 10, RngStream(3))
         np.testing.assert_array_equal(X, np.tile(mu, (10, 1)))
 
     def test_moments(self):
         n = 10**5
-        X = sample_gaussian(gauss_spec(2), n, RngStream(17))
+        X = sample_elliptical(gauss_spec(2), n, RngStream(17))
         assert np.abs(X.mean(axis=0)).max() < 4 / np.sqrt(n)
         cov = np.cov(X.T)
         assert np.abs(cov - np.eye(2)).max() < 0.05
 
     def test_scatter_shapes_covariance(self):
         A = np.array([[2.0, 0.0], [1.0, 1.0]])
-        X = sample_gaussian(gauss_spec(2, A=A), 10**5, RngStream(23))
+        X = sample_elliptical(gauss_spec(2, A=A), 10**5, RngStream(23))
         np.testing.assert_allclose(np.cov(X.T), A @ A.T, atol=0.08)
 
     def test_location_shift_is_exact(self):
         mu = np.array([5.0, -3.0, 0.25])
-        base = sample_gaussian(gauss_spec(3), 100, RngStream(9))
-        shifted = sample_gaussian(gauss_spec(3, mu=mu), 100, RngStream(9))
+        base = sample_elliptical(gauss_spec(3), 100, RngStream(9))
+        shifted = sample_elliptical(gauss_spec(3, mu=mu), 100, RngStream(9))
         np.testing.assert_array_equal(shifted, base + mu)
 
 
 class TestStudentT:
     def test_median_and_tail_frequency(self):
         n = 10**5
-        X = sample_student_t(t_spec(2, 3.0), n, RngStream(29))
+        X = sample_elliptical(t_spec(2, 3.0), n, RngStream(29))
         assert np.abs(np.median(X, axis=0)).max() < 0.02
         t95 = stats.t.ppf(0.975, df=3)
         frac = np.mean(np.abs(X[:, 0]) > t95)
@@ -116,26 +100,26 @@ class TestStudentT:
 
     def test_cauchy_tails_dwarf_gaussian(self):
         n = 20000
-        C = sample_student_t(t_spec(2, 1.0), n, RngStream(31))
-        G = sample_gaussian(gauss_spec(2), n, RngStream(31))
+        C = sample_elliptical(t_spec(2, 1.0), n, RngStream(31))
+        G = sample_elliptical(gauss_spec(2), n, RngStream(31))
         assert np.abs(C).max() > 50 * np.abs(G).max()
 
     def test_large_nu_close_to_gaussian(self):
         n = 20000
-        X = sample_student_t(t_spec(1, 400.0), n, RngStream(37))
+        X = sample_elliptical(t_spec(1, 400.0), n, RngStream(37))
         _, p = stats.kstest(X[:, 0], "norm")
         assert p > 0.01
 
     def test_marginal_matches_reference_distribution(self):
         n = 30000
-        X = sample_student_t(t_spec(1, 3.0), n, RngStream(41))
+        X = sample_elliptical(t_spec(1, 3.0), n, RngStream(41))
         _, p = stats.kstest(X[:, 0], "t", args=(3,))
         assert p > 0.01
 
     def test_shared_directions_with_gaussian(self):
         rng = RngStream(43, 5)
-        G = sample_gaussian(gauss_spec(4), 200, rng)
-        T = sample_student_t(t_spec(4, 1.0), 200, rng)
+        G = sample_elliptical(gauss_spec(4), 200, rng)
+        T = sample_elliptical(t_spec(4, 1.0), 200, rng)
         gu = G / np.linalg.norm(G, axis=1, keepdims=True)
         tu = T / np.linalg.norm(T, axis=1, keepdims=True)
         np.testing.assert_allclose(gu, tu, atol=1e-12)
@@ -177,6 +161,14 @@ class TestGenericSampler:
             sample_elliptical_generic(
                 np.zeros(2), np.eye(2), lambda gen, n: np.ones((n, 2)), 10, RngStream(61)
             )
+
+    def test_rejects_mismatched_location(self):
+        # without the check a one-element mu would shift every coordinate by 5
+        for mu in (np.array([5.0]), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="mu length"):
+                sample_elliptical_generic(
+                    mu, np.eye(3), lambda gen, n: np.ones(n), 4, RngStream(61)
+                )
 
     def test_location_applied(self):
         mu = np.array([10.0, -10.0])

@@ -5,12 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from robustfactors.elliptical import EllipticalSpec, RngStream, sample_gaussian
+from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig
-from robustfactors.elliptical import sample_student_t
 from robustfactors.montecarlo import (
-    _DIST_PARAMS,
-    _scatter,
     CellStats,
     ScenarioSpec,
     format_report_table,
@@ -33,19 +30,32 @@ def plain_spec(**overrides):
     return ScenarioSpec(**base)
 
 
+# dist -> (sampler family, degrees of freedom), as generate_panel once mapped it
+LOOP_DIST_PARAMS = {
+    "gaussian": ("gaussian", None),
+    "t3": ("student_t", 3.0),
+    "t2": ("student_t", 2.0),
+    "cauchy": ("student_t", 1.0),
+}
+
+
+def loop_scatter(spec):
+    if spec.scatter_diag is not None:
+        return np.array(spec.scatter_diag)
+    return np.ones(spec.N + spec.r)
+
+
 def loop_generate_panel(spec, replication, rng):
     """generate_panel as it was written with per-series and per-step Python loops."""
     stream = RngStream(rng.master_seed, rng.stream_index + replication)
     N, T, r = spec.N, spec.T, spec.r
     q = N + r
-    family, nu = _DIST_PARAMS[spec.dist]
-    scatter_factor = np.diag(np.sqrt(_scatter(spec)))
-    espec = EllipticalSpec(family=family, mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
+    family, nu = LOOP_DIST_PARAMS[spec.dist]
+    assert (family == "gaussian") == (nu is None)
+    scatter_factor = np.diag(np.sqrt(loop_scatter(spec)))
+    espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
     n_draws = T + spec.burn_in
-    if family == "gaussian":
-        X = sample_gaussian(espec, n_draws, stream)
-    else:
-        X = sample_student_t(espec, n_draws, stream)
+    X = sample_elliptical(espec, n_draws, stream)
     F = X[spec.burn_in:, :r]
     V = X[:, r:]
     J, beta, rho = spec.J, spec.beta, spec.rho
@@ -191,8 +201,8 @@ class TestGeneratePanel:
         panel = generate_panel(spec, 3, RngStream(11, 0))
         stream = RngStream(11, 3)
         q = spec.N + spec.r
-        espec = EllipticalSpec(family="gaussian", mu=np.zeros(q), scatter_factor=np.eye(q))
-        X = sample_gaussian(espec, spec.T + spec.burn_in, stream)
+        espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
+        X = sample_elliptical(espec, spec.T + spec.burn_in, stream)
         F = X[spec.burn_in:, : spec.r]
         V = X[spec.burn_in:, spec.r:]
         loadings = stream.generator(2).standard_normal((spec.N, spec.r))
@@ -205,9 +215,9 @@ class TestGeneratePanel:
 
         stream = RngStream(5, 0)
         q = spec.N + spec.r
-        espec = EllipticalSpec(family="gaussian", mu=np.zeros(q), scatter_factor=np.eye(q))
+        espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
         n_draws = spec.T + spec.burn_in
-        X = sample_gaussian(espec, n_draws, stream)
+        X = sample_elliptical(espec, n_draws, stream)
         F = X[spec.burn_in:, : spec.r]
         V = X[:, spec.r:]
         N, J, beta, rho = spec.N, spec.J, spec.beta, spec.rho
@@ -234,6 +244,8 @@ class TestGeneratePanel:
             ("A", {"dist": "cauchy", "N": 60, "T": 60}),
             ("B1", {"N": 80, "T": 60}),
             ("B5", {"snr": 3.0}),
+            ("A", {"dist": "gaussian", "N": 40, "T": 50}),
+            ("A", {"dist": "t2", "N": 50, "T": 40}),
         ],
     )
     def test_bytes_match_the_per_step_loops(self, name, knobs):
