@@ -73,10 +73,17 @@ def _add_input_flags(sub):
     )
 
 
+def _add_method_flags(sub):
+    sub.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
+    sub.add_argument("--kmax", type=int, default=8,
+                     help="largest candidate factor count (default 8)")
+    sub.add_argument("--c", type=float, default=0.01, help="regularization constant")
+
+
 def _cmd_simulate(args) -> int:
     spec = make_scenario(args.scenario, N=args.N, T=args.T, dist=args.dist, snr=args.snr,
-                         k_max=args.kmax, reps=args.reps)
-    configs = method_configs(args.methods, k_max=spec.k_max, c=args.c)
+                         reps=args.reps)
+    configs = method_configs(args.methods, k_max=args.kmax, c=args.c)
     report = run_scenario(spec, configs, master_seed=args.seed,
                           progress=_progress_printer("simulate"))
     print(format_report_table(report))
@@ -123,7 +130,7 @@ def _cmd_rolling(args) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print("time_label " + " ".join(result.methods))
-        for row in result.rows():
+        for row in result.rows:
             print(" ".join(map(str, row)))
     return 0
 
@@ -215,18 +222,13 @@ def _build_parser() -> _Parser:
     sim.add_argument("--reps", type=int, default=200, help="replications (default 200)")
     sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sim.add_argument("--snr", type=float, help="factor strength for B3/B5/C3/C5")
-    sim.add_argument("--kmax", type=int, help="largest candidate factor count")
-    sim.add_argument("--c", type=float, default=0.01, help="regularization constant")
-    sim.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
+    _add_method_flags(sim)
     sim.add_argument("--out", help="write per-method CSV here")
     sim.set_defaults(func=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate the factor count of a CSV panel")
     _add_input_flags(est)
-    est.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
-    est.add_argument("--kmax", type=int, default=8,
-                     help="largest candidate factor count (default 8)")
-    est.add_argument("--c", type=float, default=0.01, help="regularization constant")
+    _add_method_flags(est)
     est.add_argument("--allow-zero", action="store_true",
                      help="let the estimators return zero factors")
     est.add_argument("--json", action="store_true", help="machine-readable output")
@@ -235,10 +237,7 @@ def _build_parser() -> _Parser:
     roll = sub.add_parser("rolling", help="rolling-window estimates over a CSV panel")
     _add_input_flags(roll)
     roll.add_argument("--window", type=int, default=150, help="window length (default 150)")
-    roll.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
-    roll.add_argument("--kmax", type=int, default=8,
-                     help="largest candidate factor count (default 8)")
-    roll.add_argument("--c", type=float, default=0.01, help="regularization constant")
+    _add_method_flags(roll)
     roll.add_argument("--out", help="write the per-window CSV here")
     roll.set_defaults(func=_cmd_rolling)
 

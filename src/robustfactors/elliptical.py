@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._errors import NumericalError
+
 __all__ = [
     "EllipticalSpec",
     "RngStream",
@@ -102,7 +104,8 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
     g is standard normal in q dimensions (the directional lane) and w is
     chi-squared with ν degrees of freedom (the radial lane), independent. With
     ``nu=None`` the rows are Gaussian N(μ, A A^T); with ν > 0 they are exactly
-    multivariate t_ν(μ, A A^T), and ν = 1 is the multivariate Cauchy.
+    multivariate t_ν(μ, A A^T), and ν = 1 is the multivariate Cauchy. A draw
+    of w that underflows (small ν) raises NumericalError, not an inf row.
 
     Parameters
     ----------
@@ -124,7 +127,13 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
     g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
     if spec.nu is not None:
         w = rng.generator(_LANE_RADIAL).chisquare(spec.nu, size=n)
-        g *= np.sqrt(spec.nu / w)[:, None]
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = np.sqrt(spec.nu / w)
+        bad = np.count_nonzero(~np.isfinite(scale))
+        if bad:  # w underflowed to 0 or near it, so these rows would be inf or NaN
+            raise NumericalError(f"t sampler produced non-finite output: {bad} chi-squared "
+                                 f"draws with nu = {spec.nu} underflowed to 0 or near it")
+        g *= scale[:, None]
     return spec.mu + g @ A.T
 
 

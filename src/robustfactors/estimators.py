@@ -138,7 +138,9 @@ def estimate_many(
 
 
 def _check_size(shape: tuple[int, int], configs) -> None:
-    """Reject the first config whose k_max + 2 exceeds min(N, T)."""
+    """Reject empty configs, then the first config whose k_max + 2 exceeds min(N, T)."""
+    if not configs:
+        raise ValueError("no methods given")
     m = min(shape)
     for config in configs.values():
         if m < config.k_max + 2:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
-from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
+from .estimators import ALL_METHODS, EstimatorConfig, _check_size, estimate_many
 from .panel import DataPanel
 
 __all__ = [
@@ -67,7 +67,6 @@ class ScenarioSpec:
     dist: str
     N: int
     T: int
-    k_max: int = 8
     reps: int = 200
     burn_in: int = 50
     scatter_diag: tuple[float, ...] | None = None
@@ -85,8 +84,6 @@ class ScenarioSpec:
             raise ValueError("N and T must be >= 2")
         if self.dist not in DIST_CHOICES:
             raise ValueError(f"dist must be one of {DIST_CHOICES}")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.scatter_diag is not None:
@@ -126,13 +123,12 @@ def scenario_catalog() -> dict[str, str]:
     return {name: row[-1] for name, row in _CATALOG.items()}
 
 
-def make_scenario(name: str, N=None, T=None, dist=None, snr=None, k_max=None,
-                  reps=200) -> ScenarioSpec:
+def make_scenario(name: str, N=None, T=None, dist=None, snr=None, reps=200) -> ScenarioSpec:
     """Build a catalog scenario by name, with its fixed constants.
 
     A takes dist, N and T; B1/B2/C1/C2 take N and T; B3-B5 fix N = T = 100
     and C3-C5 fix N = T = 150. B3/B5/C3/C5 require snr, the scatter of their
-    spiked factor. Every scenario takes reps and k_max (default 8).
+    spiked factor. Every scenario takes reps; k_max is set per estimator config.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(_CATALOG)}")
@@ -159,8 +155,8 @@ def make_scenario(name: str, N=None, T=None, dist=None, snr=None, k_max=None,
     iid = fixed_dist is None
     return ScenarioSpec(
         name=name, r=r, theta=theta, rho=0.0 if iid else 0.5, beta=0.0 if iid else 0.2,
-        J=0 if iid else neighbor_half_width(N), dist=dist, N=N, T=T,
-        k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
+        J=0 if iid else neighbor_half_width(N), dist=dist, N=N, T=T, reps=reps,
+        scatter_diag=scatter,
     )
 
 
@@ -231,7 +227,6 @@ class MonteCarloReport:
 
     scenario: ScenarioSpec
     seed: int
-    reps: int
     per_method: dict[str, CellStats] = field(hash=False)
 
 
@@ -245,8 +240,7 @@ def method_configs(
     """Normalize a methods argument into named EstimatorConfig entries.
 
     ``methods`` may be None (all five), a comma-separated string or an
-    iterable of method names. :func:`run_scenario` also takes a dict of
-    ready-made configs.
+    iterable of method names.
     """
     if methods is None:
         names = list(ALL_METHODS)
@@ -267,20 +261,17 @@ def method_configs(
 
 def run_scenario(
     spec: ScenarioSpec,
-    methods=None,
+    configs: dict[str, EstimatorConfig],
     master_seed: int = 0,
     progress=None,
 ) -> MonteCarloReport:
-    """Run spec.reps replications and aggregate x(y|z) per method.
+    """Run spec.reps replications and aggregate x(y|z) per config name.
 
-    Replication k uses RngStream(master_seed, k). Panels are doubly demeaned
-    by default (per the configs from :func:`method_configs`), so the report
-    depends only on the spec, the methods and the seed.
+    Replication k uses RngStream(master_seed, k) and is estimated with
+    :func:`~robustfactors.estimators.estimate_many`, so the report depends
+    only on the spec, the configs and the seed.
     """
-    if isinstance(methods, dict):
-        configs = methods
-    else:
-        configs = method_configs(methods, k_max=spec.k_max)
+    _check_size((spec.T, spec.N), configs)  # before any panel is drawn
     base = RngStream(master_seed, 0)
     hist: dict[str, dict[int, int]] = {name: {} for name in configs}
     for k in range(spec.reps):
@@ -299,7 +290,7 @@ def run_scenario(
         )
         for name, h in hist.items()
     }
-    return MonteCarloReport(scenario=spec, seed=master_seed, reps=spec.reps, per_method=per_method)
+    return MonteCarloReport(scenario=spec, seed=master_seed, per_method=per_method)
 
 
 def write_report_csv(report: MonteCarloReport, path) -> None:
@@ -311,7 +302,7 @@ def write_report_csv(report: MonteCarloReport, path) -> None:
         for name, stats in report.per_method.items():
             writer.writerow(
                 [spec.label, name, spec.N, spec.T, f"{stats.mean:.6f}",
-                 stats.under, stats.over, report.reps, report.seed]
+                 stats.under, stats.over, spec.reps, report.seed]
             )
 
 
@@ -320,7 +311,7 @@ def format_report_table(report: MonteCarloReport) -> str:
     spec = report.scenario
     lines = [
         f"scenario {spec.label}  N={spec.N} T={spec.T} r={spec.r} "
-        f"reps={report.reps} seed={report.seed}",
+        f"reps={spec.reps} seed={report.seed}",
         f"{'method':<8}{'x(y|z)':>18}",
     ]
     for name, stats in report.per_method.items():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .estimators import KENDALL_METHODS, _check_size, _decide
@@ -15,31 +14,26 @@ __all__ = ["RollingResult", "rolling_estimate", "write_rolling_csv"]
 
 @dataclass(frozen=True)
 class RollingResult:
-    """Per-window estimates: series holds (time_label, method, r_hat) rows."""
+    """Per-window estimates: one (time_label, r_hat of each of ``methods``) row per window."""
 
-    series: list[tuple[str, str, int]]
+    rows: list[tuple]
     window: int
     methods: tuple[str, ...]
 
     def by_method(self, method: str) -> list[tuple[str, int]]:
         """The (time_label, r_hat) path of one method."""
-        return [(label, r) for label, m, r in self.series if m == method]
-
-    def rows(self) -> Iterator[tuple]:
-        """One (time_label, r_hat of each of ``methods``, in order) row per window."""
-        step = len(self.methods)
-        for i in range(0, len(self.series), step):
-            chunk = self.series[i : i + step]
-            values = {m: r for _, m, r in chunk}
-            yield (chunk[0][0], *(values[m] for m in self.methods))
+        if method not in self.methods:
+            raise ValueError(f"unknown method {method!r}; this result holds {self.methods}")
+        col = 1 + self.methods.index(method)
+        return [(row[0], row[col]) for row in self.rows]
 
 
 def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> RollingResult:
     """Estimate the factor count on every length-``window`` trailing window.
 
     The panel must be complete (impute first). Windows end at observations
-    window, window + 1, ..., T (1-based), giving T - window + 1 entries per
-    method; each window is demeaned on its own per the configs.
+    window, window + 1, ..., T (1-based), giving T - window + 1 rows, each
+    with one r_hat per config; each window is demeaned on its own per the configs.
 
     The panel and configs are validated once per call, not per window. The
     Kendall matrices of all windows come from one
@@ -53,9 +47,8 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         raise ValueError("window must be >= 2")
     if window > T:
         raise ValueError(f"window {window} exceeds panel length {T}")
-    if not configs:
-        raise ValueError("no methods given")
-    need = max(cfg.k_max for cfg in configs.values()) + 2
+    # with no configs the window needs only 2 rows and _check_size names the fault
+    need = max((cfg.k_max for cfg in configs.values()), default=0) + 2
     if window < need:
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
     _check_size((window, panel.shape[1]), configs)
@@ -74,7 +67,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         for mode in sorted(modes)
     }
     labels = panel.time_labels
-    series: list[tuple[str, str, int]] = []
+    rows: list[tuple] = []
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
@@ -86,11 +79,10 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         }
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
-        for name, res in results.items():
-            series.append((label, name, res.r_hat))
+        rows.append((label, *(res.r_hat for res in results.values())))
         if progress is not None:
             progress(start + 1, n_windows)
-    return RollingResult(series=series, window=window, methods=tuple(configs))
+    return RollingResult(rows=rows, window=window, methods=tuple(configs))
 
 
 def write_rolling_csv(result: RollingResult, path) -> None:
@@ -98,4 +90,4 @@ def write_rolling_csv(result: RollingResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_label", *result.methods])
-        writer.writerows(result.rows())
+        writer.writerows(result.rows)

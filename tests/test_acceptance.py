@@ -22,7 +22,7 @@ from robustfactors.kendall import (
     sample_kendall_tau,
     verify_kendall_invariants,
 )
-from robustfactors.montecarlo import generate_panel, make_scenario, run_scenario
+from robustfactors.montecarlo import generate_panel, make_scenario, method_configs, run_scenario
 from robustfactors.panel import DataPanel, double_demean, ingest_csv
 from robustfactors.spectrum import eigenvalues_sym
 
@@ -33,7 +33,7 @@ C_DEFAULT = 0.01
 
 
 def exact_rate(report, name, r_true):
-    return 100.0 * report.per_method[name].histogram.get(r_true, 0) / report.reps
+    return 100.0 * report.per_method[name].histogram.get(r_true, 0) / report.scenario.reps
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_criterion_01_gaussian_desk_scale(gaussian_desk_sweep):
 
 def test_criterion_02_heavy_tail_t3():
     spec = make_scenario("A", dist="t3", N=100, T=100, reps=REPS)
-    report = run_scenario(spec, master_seed=SEED)
+    report = run_scenario(spec, method_configs(), master_seed=SEED)
     for m in KENDALL_METHODS:
         assert exact_rate(report, m, 3) >= 98.0, m
     er = report.per_method["er"]
@@ -81,7 +81,7 @@ def test_criterion_02_heavy_tail_t3():
 
 def test_criterion_03_cauchy():
     spec = make_scenario("A", dist="cauchy", N=100, T=100, reps=REPS)
-    report = run_scenario(spec, master_seed=SEED)
+    report = run_scenario(spec, method_configs(), master_seed=SEED)
     mker_rate = exact_rate(report, "mker", 3)
     er = report.per_method["er"]
     tcr = report.per_method["tcr"]
@@ -98,7 +98,7 @@ def test_criterion_03_cauchy():
 
 def test_criterion_04_correlated_errors_gaussian():
     spec = make_scenario("B1", N=125, T=125, reps=REPS)
-    report = run_scenario(spec, master_seed=SEED)
+    report = run_scenario(spec, method_configs(), master_seed=SEED)
     rates = {m: exact_rate(report, m, 3) for m in ALL_METHODS}
     for m, rate in rates.items():
         assert rate >= 97.0, f"{m}: {rate}%"
@@ -107,7 +107,7 @@ def test_criterion_04_correlated_errors_gaussian():
 
 def test_criterion_05_correlated_errors_t3():
     spec = make_scenario("C1", N=150, T=150, reps=REPS)
-    report = run_scenario(spec, master_seed=SEED)
+    report = run_scenario(spec, method_configs(), master_seed=SEED)
     for m in KENDALL_METHODS:
         assert exact_rate(report, m, 3) >= 97.0, m
     gr_over = report.per_method["gr"].over
@@ -123,7 +123,7 @@ def test_criterion_05_correlated_errors_t3():
 
 def test_criterion_06_dominant_factor_t3():
     spec = make_scenario("C5", snr=20.0, reps=REPS)
-    report = run_scenario(spec, methods="mker,mktcr", master_seed=SEED)
+    report = run_scenario(spec, method_configs("mker,mktcr"), master_seed=SEED)
     mker = report.per_method["mker"]
     mktcr_rate = exact_rate(report, "mktcr", 2)
     assert mker.under >= 0.50 * REPS

@@ -3,7 +3,7 @@
 The catalog used to be eleven builder functions: ``_build_a`` and one
 closure per correlated-error scenario from ``_correlated``. They are copied
 below as the reference. Every scenario name, plus an unknown one, crossed
-with given or missing N and T, valid and invalid dist, snr and k_max, must
+with given or missing N and T, valid and invalid dist, snr and reps, must
 give the same ``ScenarioSpec`` or the same exception with the same message.
 """
 
@@ -40,12 +40,12 @@ def _spiked_diag(N: int, r: int, position: int, snr: float) -> np.ndarray:
     return d
 
 
-def _build_a(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
+def _build_a(N=None, T=None, dist=None, snr=None, reps=200):
     _require("A", N=N, T=T, dist=dist)
     _reject("A", snr=snr)
     return ScenarioSpec(
         name="A", r=3, theta=1.0, rho=0.0, beta=0.0, J=0,
-        dist=dist, N=N, T=T, k_max=8 if k_max is None else k_max, reps=reps,
+        dist=dist, N=N, T=T, reps=reps,
     )
 
 
@@ -59,7 +59,7 @@ def _correlated(name, dist, note, r=3, theta=1.0):
 
     fixed_dist = dist
 
-    def build(N=None, T=None, dist=None, snr=None, k_max=None, reps=200):
+    def build(N=None, T=None, dist=None, snr=None, reps=200):
         if dist is not None:
             raise ValueError(f"scenario {name} fixes its distribution ({fixed_dist})")
         dist = fixed_dist
@@ -80,8 +80,7 @@ def _correlated(name, dist, note, r=3, theta=1.0):
             raise ValueError(f"scenario {name} does not take snr")
         return ScenarioSpec(
             name=name, r=rr, theta=theta, rho=0.5, beta=0.2,
-            J=neighbor_half_width(N), dist=dist, N=N, T=T,
-            k_max=8 if k_max is None else k_max, reps=reps, scatter_diag=scatter,
+            J=neighbor_half_width(N), dist=dist, N=N, T=T, reps=reps, scatter_diag=scatter,
         )
 
     build.__doc__ = note
@@ -135,11 +134,11 @@ NAMES = [*reference_catalog(), "Z9"]
 def test_every_knob_combination_matches_the_builders(name):
     grid = itertools.product(
         (None, 120), (None, 80), (None, "gaussian", "cauchy", "", "bogus"),
-        (None, 2, 0, -1), (None, 0, 3), (200, 5),
+        (None, 2, 0, -1), (200, 5),
     )
     specs = 0
-    for N, T, dist, snr, k_max, reps in grid:
-        given = {"N": N, "T": T, "dist": dist, "snr": snr, "k_max": k_max, "reps": reps}
+    for N, T, dist, snr, reps in grid:
+        given = {"N": N, "T": T, "dist": dist, "snr": snr, "reps": reps}
         # knobs passed as None, as the CLI passes them, and knobs left out
         for knobs in (given, {key: value for key, value in given.items() if value is not None}):
             got = _outcome(make_scenario, name, knobs)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from robustfactors._errors import NumericalError
 from robustfactors.elliptical import (
     EllipticalSpec,
     RngStream,
@@ -123,6 +126,16 @@ class TestStudentT:
         gu = G / np.linalg.norm(G, axis=1, keepdims=True)
         tu = T / np.linalg.norm(T, axis=1, keepdims=True)
         np.testing.assert_allclose(gu, tu, atol=1e-12)
+
+    def test_underflowing_radial_draws_raise(self):
+        # nu = 0.02: 73 of these chi-squared draws are 0 or so small that nu / w
+        # overflows; each would be an inf or NaN row. nu = 0.05 has none.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would mean the guard came late
+            with pytest.raises(NumericalError, match=r"non-finite output: 73 .*nu = 0\.02"):
+                sample_elliptical(t_spec(3, 0.02), 100_000, RngStream(1))
+            X = sample_elliptical(t_spec(3, 0.05), 100_000, RngStream(1))
+        assert np.isfinite(X).all()
 
 
 class TestGenericSampler:

@@ -248,6 +248,10 @@ class TestEndToEnd:
             assert joint[name].r_hat == solo.r_hat
             np.testing.assert_array_equal(joint[name].ratio_series, solo.ratio_series)
 
+    def test_empty_configs_rejected(self, rng):
+        with pytest.raises(ValueError, match="^no methods given$"):
+            estimate_many(factor_panel(rng, 30, 20, r=1), {})
+
     def test_config_sweep_shares_matrix_work(self, rng):
         panel = factor_panel(rng, 60, 40, r=1)
         configs = {

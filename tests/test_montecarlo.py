@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from robustfactors import montecarlo
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig
 from robustfactors.montecarlo import (
@@ -111,20 +112,20 @@ class TestScenarioSpec:
         assert spec != make_scenario("B3", snr=3.0)
         assert plain_spec(scatter_diag=np.ones(11)) == plain_spec(scatter_diag=[1.0] * 11)
         spec = make_scenario("B5", snr=4.0, reps=2)
-        assert run_scenario(spec, "mker", master_seed=1) == run_scenario(
-            spec, "mker", master_seed=1
+        assert run_scenario(spec, method_configs("mker"), master_seed=1) == run_scenario(
+            spec, method_configs("mker"), master_seed=1
         )
 
     def test_equal_reports_hash_equal(self):
         spec = make_scenario("A", dist="t3", N=20, T=20, reps=3)
-        a = run_scenario(spec, "mker,er", master_seed=4)
-        b = run_scenario(spec, "mker,er", master_seed=4)
+        a = run_scenario(spec, method_configs("mker,er"), master_seed=4)
+        b = run_scenario(spec, method_configs("mker,er"), master_seed=4)
         assert a == b and a is not b
         assert hash(a) == hash(b)
         assert {a: 1}[b] == 1
         assert hash(a.per_method["er"]) == hash(b.per_method["er"])
         assert a.per_method["er"].histogram == b.per_method["er"].histogram  # still a dict
-        assert a != run_scenario(spec, "mker,er", master_seed=5)
+        assert a != run_scenario(spec, method_configs("mker,er"), master_seed=5)
 
     def test_neighbor_half_width_rule(self):
         assert neighbor_half_width(100) == 10
@@ -181,18 +182,18 @@ class TestCatalog:
             assert len(spec.scatter_diag) == size + 2
 
     def test_kmax_knob_scenarios(self):
-        spec = make_scenario("B4", k_max=16)
-        assert (spec.N, spec.T, spec.k_max) == (100, 100, 16)
-        assert make_scenario("C4", k_max=12).N == 150
+        spec = make_scenario("B4")
+        assert (spec.N, spec.T) == (100, 100)
+        assert make_scenario("C4").N == 150
         with pytest.raises(ValueError, match="positive"):
             make_scenario("B5", snr=-1.0)
+        # k_max belongs to the estimator configs, not to the scenario
+        with pytest.raises(TypeError):
+            make_scenario("B4", k_max=16)
 
     def test_kmax_zero_rejected(self):
-        # k_max=0 used to fall back to the default of 8
-        for name, knobs in [("A", {"dist": "t3", "N": 20, "T": 20}), ("C1", {"N": 20, "T": 20}),
-                            ("C4", {})]:
-            with pytest.raises(ValueError, match="k_max must be >= 1"):
-                make_scenario(name, k_max=0, **knobs)
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            method_configs(k_max=0)
 
 
 class TestGeneratePanel:
@@ -323,8 +324,8 @@ class TestMethodConfigs:
 class TestRunScenario:
     def test_counting_identities(self):
         spec = make_scenario("A", dist="gaussian", N=40, T=40, reps=12)
-        report = run_scenario(spec, master_seed=3)
-        assert report.reps == 12
+        report = run_scenario(spec, method_configs(), master_seed=3)
+        assert report.scenario.reps == 12
         for name, stats in report.per_method.items():
             assert sum(stats.histogram.values()) == 12
             exact = stats.histogram.get(spec.r, 0)
@@ -334,17 +335,18 @@ class TestRunScenario:
 
     def test_seed_determinism(self):
         spec = make_scenario("A", dist="gaussian", N=30, T=30, reps=4)
-        r1 = run_scenario(spec, methods="mker", master_seed=5)
-        r2 = run_scenario(spec, methods="mker", master_seed=5)
+        r1 = run_scenario(spec, method_configs("mker"), master_seed=5)
+        r2 = run_scenario(spec, method_configs("mker"), master_seed=5)
         assert r1.per_method == r2.per_method
         assert r1.seed == 5
-        r3 = run_scenario(spec, methods="mker,er", master_seed=5)
+        r3 = run_scenario(spec, method_configs("mker,er"), master_seed=5)
         assert r3.per_method["mker"] == r1.per_method["mker"]
 
     def test_progress_callback(self):
         spec = make_scenario("A", dist="gaussian", N=20, T=20, reps=3)
         calls = []
-        run_scenario(spec, methods="er", master_seed=0, progress=lambda k, n: calls.append((k, n)))
+        run_scenario(spec, method_configs("er"), master_seed=0,
+                     progress=lambda k, n: calls.append((k, n)))
         assert calls == [(1, 3), (2, 3), (3, 3)]
 
     def test_dict_of_configs_keys_preserved(self):
@@ -356,14 +358,31 @@ class TestRunScenario:
         report = run_scenario(spec, configs, master_seed=1)
         assert set(report.per_method) == {"er_k4", "er_k8"}
 
+    def test_empty_configs_rejected_before_any_panel(self, monkeypatch):
+        spec = make_scenario("C1", N=100, T=100, reps=50)
+
+        def no_panel(*args):
+            raise AssertionError("a panel was drawn")
+
+        monkeypatch.setattr(montecarlo, "generate_panel", no_panel)
+        with pytest.raises(ValueError, match="^no methods given$"):
+            run_scenario(spec, {})
+
+    def test_kmax_comes_from_the_configs(self):
+        # the spec holds no k_max, so the configs' bound is the one applied
+        spec = make_scenario("A", dist="cauchy", N=30, T=30, reps=20)
+        report = run_scenario(spec, method_configs("tcr", k_max=2), master_seed=1)
+        assert set(report.per_method["tcr"].histogram) <= {1, 2}
+        assert sum(report.per_method["tcr"].histogram.values()) == 20
+
     def test_single_replication(self):
         spec = make_scenario("A", dist="gaussian", N=25, T=25, reps=1)
-        report = run_scenario(spec, methods="gr", master_seed=2)
+        report = run_scenario(spec, method_configs("gr"), master_seed=2)
         assert sum(report.per_method["gr"].histogram.values()) == 1
 
     def test_easy_design_recovers_truth(self):
         spec = make_scenario("A", dist="gaussian", N=50, T=50, reps=6)
-        report = run_scenario(spec, master_seed=20260819)
+        report = run_scenario(spec, method_configs(), master_seed=20260819)
         for name, stats in report.per_method.items():
             assert stats.histogram.get(3, 0) == 6, name
 
@@ -371,7 +390,7 @@ class TestRunScenario:
         hits = {}
         for snr in (0.7, 0.4):
             spec = make_scenario("B3", snr=snr, reps=60)
-            report = run_scenario(spec, methods="mker,er", master_seed=5)
+            report = run_scenario(spec, method_configs("mker,er"), master_seed=5)
             hits[snr] = {m: report.per_method[m].histogram.get(3, 0) for m in ("mker", "er")}
         assert hits[0.7]["mker"] >= hits[0.4]["mker"]
         assert hits[0.7]["er"] >= hits[0.4]["er"]
@@ -385,7 +404,7 @@ class TestReports:
 
     def test_csv_roundtrip(self, tmp_path):
         spec = make_scenario("A", dist="t3", N=30, T=30, reps=3)
-        report = run_scenario(spec, methods="mker,er", master_seed=4)
+        report = run_scenario(spec, method_configs("mker,er"), master_seed=4)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         with open(path, newline="") as fh:
@@ -402,7 +421,7 @@ class TestReports:
 
     def test_table_format(self):
         spec = make_scenario("A", dist="gaussian", N=25, T=25, reps=2)
-        report = run_scenario(spec, methods="mker,tcr", master_seed=0)
+        report = run_scenario(spec, method_configs("mker,tcr"), master_seed=0)
         text = format_report_table(report)
         assert "scenario A-gaussian" in text
         assert "N=25 T=25 r=3" in text

@@ -34,9 +34,7 @@ class TestRollingMechanics:
         configs = two_configs()
         result = rolling_estimate(panel, window=40, configs=configs)
         whole = estimate_many(panel, configs)
-        assert len(result.series) == 2
-        assert result.series[0] == ("40", "mker", whole["mker"].r_hat)
-        assert result.series[1] == ("40", "er", whole["er"].r_hat)
+        assert result.rows == [("40", whole["mker"].r_hat, whole["er"].r_hat)]
 
     def test_window_count_and_labels(self, rng):
         panel = DataPanel(rng.standard_normal((40, 10)))
@@ -60,8 +58,30 @@ class TestRollingMechanics:
             sub = DataPanel(panel.values[end - 9 : end + 1])
             direct = estimate_many(sub, configs)
             label = str(end + 1)
-            got = {m: r for lab, m, r in result.series if lab == label}
+            row = next(row for row in result.rows if row[0] == label)
+            got = dict(zip(result.methods, row[1:]))
             assert got == {m: res.r_hat for m, res in direct.items()}
+
+    def test_rows_follow_the_configs_order(self, rng):
+        panel = DataPanel(rng.standard_normal((30, 10)))
+        configs = {
+            "tcr": EstimatorConfig(method="tcr", k_max=4),
+            "mker": EstimatorConfig(method="mker", k_max=4),
+            "er": EstimatorConfig(method="er", k_max=4),
+            "er_k3": EstimatorConfig(method="er", k_max=3),
+        }
+        result = rolling_estimate(panel, window=12, configs=configs)
+        assert result.methods == tuple(configs)
+        assert len(result.rows) == 19
+        for start, row in enumerate(result.rows):
+            direct = estimate_many(DataPanel(panel.values[start : start + 12]), configs)
+            assert row[0] == str(start + 12)
+            got = dict(zip(result.methods, row[1:]))
+            assert got == {m: res.r_hat for m, res in direct.items()}
+        for col, m in enumerate(result.methods, start=1):
+            assert result.by_method(m) == [(row[0], row[col]) for row in result.rows]
+        with pytest.raises(ValueError, match="unknown method 'gr'"):
+            result.by_method("gr")
 
     def test_locality(self, rng):
         values = rng.standard_normal((30, 8))
@@ -73,7 +93,7 @@ class TestRollingMechanics:
         ra = rolling_estimate(panel_a, window=10, configs=configs)
         rb = rolling_estimate(panel_b, window=10, configs=configs)
         # all windows that end before the modified row agree
-        assert ra.series[: 2 * 20] == rb.series[: 2 * 20]
+        assert ra.rows[:20] == rb.rows[:20]
 
     def test_progress_callback(self, rng):
         panel = DataPanel(rng.standard_normal((14, 8)))
@@ -104,7 +124,7 @@ class TestRollingStatistics:
         cfg = {"mker": EstimatorConfig(method="mker", k_max=4)}
         a = rolling_estimate(panel, window=30, configs=cfg)
         b = rolling_estimate(shifted, window=30, configs=cfg)
-        assert a.series == b.series
+        assert a.rows == b.rows
 
 
 class TestRollingValidation:
@@ -197,7 +217,7 @@ def per_window_r_hat(Y, window, configs):
 
 
 def rolling_r_hat(result):
-    return [dict(zip(result.methods, row[1:])) for row in result.rows()]
+    return [dict(zip(result.methods, row[1:])) for row in result.rows]
 
 
 class TestSharedPairWeights:
@@ -214,12 +234,12 @@ class TestSharedPairWeights:
     def test_chunked_calls_match_one_call(self):
         Y = t_factor_panel(3.0, seed=8, T=150, N=20)
         labels = [f"t{i}" for i in range(150)]
-        full = rolling_estimate(DataPanel(Y, time_labels=labels), 40, SHARED_CONFIGS).series
+        full = rolling_estimate(DataPanel(Y, time_labels=labels), 40, SHARED_CONFIGS).rows
         chunks = []
         for s in range(0, 111, 10):
             stop = min(s + 10, 111) + 39
             sub = DataPanel(Y[s:stop], time_labels=labels[s:stop])
-            chunks += rolling_estimate(sub, 40, SHARED_CONFIGS).series
+            chunks += rolling_estimate(sub, 40, SHARED_CONFIGS).rows
         assert chunks == full
 
     @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
@@ -405,7 +425,7 @@ class TestDecisionCore:
         covered = [bands["double"].covers(s) for s in range(61)]
         assert any(covered) and not all(covered)
         assert len(decisions) == 61
-        for start, (got, row) in enumerate(zip(decisions, result.rows())):
+        for start, (got, row) in enumerate(zip(decisions, result.rows)):
             ref = old_estimate_many(
                 DataPanel(Y[start : start + window]), CORE_CONFIGS,
                 lambda mode: (
