@@ -50,16 +50,12 @@ class EstimatorConfig:
     allow_zero : bool
         Include j = 0 using the mock eigenvalue, enabling a zero-factor
         estimate.
-    demean : str
-        "double" (default) or "none"; applied by :func:`estimate` before the
-        matrix is built.
     """
 
     method: str
     k_max: int = 8
     c: float = 0.01
     allow_zero: bool = False
-    demean: str = "double"
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -68,8 +64,6 @@ class EstimatorConfig:
             raise ValueError("k_max must be >= 1")
         if not self.c > 0:
             raise ValueError("c must be positive")
-        if self.demean not in ("none", "double"):
-            raise ValueError("demean must be 'none' or 'double'")
 
 
 @dataclass(frozen=True)
@@ -126,15 +120,15 @@ def estimate_many(
 ) -> dict[str, EstimationResult]:
     """Run several configurations on one panel, sharing matrix work.
 
-    The Kendall's tau matrix and the covariance Gram matrix are each built at
-    most once per demeaning mode, and each regularized spectrum once per
-    (matrix, c); configs that differ only in k_max, allow_zero or the
-    criterion share them, which makes k_max sweeps nearly free.
+    The panel is double-demeaned and the Kendall's tau and Gram matrices are
+    built at most once each, and each regularized spectrum once per (matrix,
+    c); configs that differ only in k_max, allow_zero or the criterion share
+    them, which makes k_max sweeps nearly free.
     """
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
     _check_size(panel.shape, configs)
-    return _decide(panel.values, configs, {})
+    return _decide(panel.values, configs, None)
 
 
 def _check_size(shape: tuple[int, int], configs) -> None:
@@ -147,41 +141,31 @@ def _check_size(shape: tuple[int, int], configs) -> None:
             raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
 
 
-def _decide(Y: np.ndarray, configs, kendall: dict[str, np.ndarray]) -> dict[str, EstimationResult]:
+def _decide(Y: np.ndarray, configs, kendall: np.ndarray | None) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
-    on its shape; neither is checked again. ``kendall`` maps a demeaning mode
-    to the Kendall's tau matrix of ``Y`` in that mode, where the caller has
-    it; any other mode's matrix is :func:`sample_kendall_tau` of the
-    demeaned ``Y``.
+    on its shape; neither is checked again. ``kendall`` is the Kendall's tau
+    matrix of the double-demeaned ``Y`` where the caller has it; otherwise it
+    is None and the matrix is :func:`sample_kendall_tau` of that panel.
     """
     T, N = Y.shape
-    values_cache: dict[str, np.ndarray] = {}
-    raw_cache: dict[tuple[str, str], np.ndarray] = {}
-    spectra: dict[tuple[str, str, float], EigenSpectrum] = {}
+    demean = kendall is None or any(cfg.method in COVARIANCE_METHODS for cfg in configs.values())
+    demeaned = _double_demean(Y) if demean else None
+    raw_cache: dict[str, np.ndarray] = {}
+    spectra: dict[tuple[str, float], EigenSpectrum] = {}
     results: dict[str, EstimationResult] = {}
-
-    def demeaned(mode: str) -> np.ndarray:
-        if mode not in values_cache:
-            values_cache[mode] = _double_demean(Y) if mode == "double" else Y
-        return values_cache[mode]
-
     for name, config in configs.items():
-        mode = config.demean
         path = "kendall" if config.method in KENDALL_METHODS else "covariance"
-        key = (path, mode)
-        if key not in raw_cache:
+        if path not in raw_cache:
             if path == "covariance":
-                raw_cache[key] = gram_eigenvalues(demeaned(mode))
+                raw_cache[path] = gram_eigenvalues(demeaned)
             else:
-                matrix = kendall.get(mode)
-                if matrix is None:
-                    matrix = sample_kendall_tau(demeaned(mode)).matrix
-                raw_cache[key] = eigenvalues_sym(matrix)
-        skey = (*key, config.c)
+                matrix = sample_kendall_tau(demeaned).matrix if kendall is None else kendall
+                raw_cache[path] = eigenvalues_sym(matrix)
+        skey = (path, config.c)
         if skey not in spectra:
-            spectra[skey] = build_spectrum(raw_cache[key], N=N, T=T, c=config.c)
+            spectra[skey] = build_spectrum(raw_cache[path], N=N, T=T, c=config.c)
         results[name] = _evaluate(spectra[skey], config)
     return results
 
@@ -190,7 +174,7 @@ def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
     """End to end: demean, build the method's matrix, extract the spectrum, decide.
 
     MKER/MKTCR run on the sample multivariate Kendall's tau matrix of the
-    (optionally double-demeaned) panel; ER/GR/TCR run on the covariance-path
-    Gram spectrum.
+    double-demeaned panel; ER/GR/TCR run on the covariance-path Gram
+    spectrum of the same panel.
     """
     return estimate_many(panel, {config.method: config})[config.method]

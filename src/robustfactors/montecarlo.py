@@ -43,6 +43,9 @@ __all__ = [
 _DIST_NU = {"gaussian": None, "t3": 3.0, "t2": 2.0, "cauchy": 1.0}
 DIST_CHOICES = tuple(_DIST_NU)
 
+# leading draws discarded so that the AR(1) errors start near stationarity
+_BURN_IN = 50
+
 
 def neighbor_half_width(N: int) -> int:
     """The J rule used by the correlated-error scenarios: max(10, N/20)."""
@@ -68,7 +71,6 @@ class ScenarioSpec:
     N: int
     T: int
     reps: int = 200
-    burn_in: int = 50
     scatter_diag: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -175,9 +177,9 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     q = N + r
     scatter = np.ones(q) if spec.scatter_diag is None else np.array(spec.scatter_diag)
     espec = EllipticalSpec(np.zeros(q), np.diag(np.sqrt(scatter)), _DIST_NU[spec.dist])
-    n_draws = T + spec.burn_in
+    n_draws = T + _BURN_IN
     X = sample_elliptical(espec, n_draws, stream)
-    F = X[spec.burn_in:, :r]
+    F = X[_BURN_IN:, :r]
     V = X[:, r:]
 
     J, beta, rho = spec.J, spec.beta, spec.rho
@@ -194,7 +196,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
 
     for t in range(1, n_draws):  # AR(1) in place: W[t] becomes e_t
         W[t] += rho * W[t - 1]
-    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * W[spec.burn_in :]
+    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * W[_BURN_IN:]
 
     loadings = stream.generator(2).standard_normal((N, r))
     Y = F @ loadings.T + np.sqrt(spec.theta) * u
@@ -235,7 +237,6 @@ def method_configs(
     k_max: int = 8,
     c: float = 0.01,
     allow_zero: bool = False,
-    demean: str = "double",
 ) -> dict[str, EstimatorConfig]:
     """Normalize a methods argument into named EstimatorConfig entries.
 
@@ -254,7 +255,7 @@ def method_configs(
         if name not in ALL_METHODS:
             raise ValueError(f"unknown method {name!r}; expected one of {ALL_METHODS}")
     return {
-        name: EstimatorConfig(method=name, k_max=k_max, c=c, allow_zero=allow_zero, demean=demean)
+        name: EstimatorConfig(method=name, k_max=k_max, c=c, allow_zero=allow_zero)
         for name in names
     }
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .estimators import KENDALL_METHODS, _check_size, _decide
 from .kendall import pair_weight_band, window_kendall_tau
@@ -14,9 +14,9 @@ __all__ = ["RollingResult", "rolling_estimate", "write_rolling_csv"]
 
 @dataclass(frozen=True)
 class RollingResult:
-    """Per-window estimates: one (time_label, r_hat of each of ``methods``) row per window."""
+    """One (time_label, r_hat of each of ``methods``) row per window; ``rows`` is not hashed."""
 
-    rows: list[tuple]
+    rows: list[tuple] = field(hash=False)
     window: int
     methods: tuple[str, ...]
 
@@ -33,11 +33,12 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
 
     The panel must be complete (impute first). Windows end at observations
     window, window + 1, ..., T (1-based), giving T - window + 1 rows, each
-    with one r_hat per config; each window is demeaned on its own per the configs.
+    with one r_hat per config; each window is double-demeaned on its own.
 
     The panel and configs are validated once per call, not per window. The
     Kendall matrices of all windows come from one
-    :func:`~robustfactors.kendall.pair_weight_band` per demeaning mode; see
+    :func:`~robustfactors.kendall.pair_weight_band` of the row-demeaned
+    panel, built only when some config is a Kendall method; see
     :func:`~robustfactors.kendall.window_kendall_tau`.
     """
     if panel.has_missing:
@@ -53,30 +54,23 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
     _check_size((window, panel.shape[1]), configs)
 
-    # One band of pair weights per demeaning mode serves every window. Double
-    # demeaning a window subtracts each row's mean, which does not depend on
-    # the window, and then a column shift, which cancels in every row
-    # difference; so the row-demeaned panel stands in for it.
+    # One band of pair weights serves every window. Double demeaning a window
+    # subtracts each row's mean, which does not depend on the window, and then
+    # a column shift, which cancels in every row difference; so the
+    # row-demeaned panel stands in for it.
     values = panel.values
-    modes = {cfg.demean for cfg in configs.values() if cfg.method in KENDALL_METHODS}
-    bands = {
-        mode: pair_weight_band(
-            values - values.mean(axis=1, keepdims=True) if mode == "double" else values,
-            window,
-        )
-        for mode in sorted(modes)
-    }
+    band = None
+    if any(cfg.method in KENDALL_METHODS for cfg in configs.values()):
+        band = pair_weight_band(values - values.mean(axis=1, keepdims=True), window)
     labels = panel.time_labels
     rows: list[tuple] = []
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
         # a window the shared weights cannot represent gets sample_kendall_tau in _decide
-        kendall = {
-            mode: window_kendall_tau(band, start).matrix
-            for mode, band in bands.items()
-            if band.covers(start)
-        }
+        kendall = None
+        if band is not None and band.covers(start):
+            kendall = window_kendall_tau(band, start).matrix
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
         rows.append((label, *(res.r_hat for res in results.values())))

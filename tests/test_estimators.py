@@ -93,7 +93,6 @@ class TestConfig:
         assert cfg.k_max == 8
         assert cfg.c == 0.01
         assert cfg.allow_zero is False
-        assert cfg.demean == "double"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -102,8 +101,9 @@ class TestConfig:
             EstimatorConfig(method="er", k_max=0)
         with pytest.raises(ValueError, match="c must"):
             EstimatorConfig(method="er", c=0.0)
-        with pytest.raises(ValueError, match="demean"):
-            EstimatorConfig(method="er", demean="rows")
+        # every estimate double-demeans; there is no demeaning mode to pick
+        with pytest.raises(TypeError, match="demean"):
+            EstimatorConfig(method="mker", demean="none")
 
     def test_method_groups(self):
         assert set(KENDALL_METHODS) == {"mker", "mktcr"}
@@ -268,7 +268,6 @@ class TestEndToEnd:
         configs |= {
             "mker_k3": EstimatorConfig(method="mker", k_max=3),
             "er_c": EstimatorConfig(method="er", c=0.1),
-            "mker_none": EstimatorConfig(method="mker", demean="none"),
         }
         calls = []
         build = est.build_spectrum
@@ -276,9 +275,8 @@ class TestEndToEnd:
             est, "build_spectrum", lambda *a, **kw: calls.append(kw["c"]) or build(*a, **kw)
         )
         joint = estimate_many(panel, configs)
-        # (kendall, double, 0.01), (covariance, double, 0.01), (covariance, double, 0.1),
-        # (kendall, none, 0.01)
-        assert len(calls) == 4
+        # (kendall, 0.01), (covariance, 0.01), (covariance, 0.1)
+        assert len(calls) == 3
         assert joint["mker"].spectrum is joint["mktcr"].spectrum is joint["mker_k3"].spectrum
         assert joint["er"].spectrum is joint["gr"].spectrum is joint["tcr"].spectrum
         monkeypatch.undo()
@@ -350,7 +348,7 @@ class TestInvariance:
 
     def test_power_of_two_scaling_is_bitwise(self, rng):
         Y = rng.standard_normal((30, 10))
-        cfg = EstimatorConfig(method="mker", k_max=4, demean="none")
+        cfg = EstimatorConfig(method="mker", k_max=4)
         base = estimate(DataPanel(Y), cfg)
         scaled = estimate(DataPanel(128.0 * Y), cfg)
         assert np.array_equal(base.ratio_series, scaled.ratio_series)
@@ -362,12 +360,6 @@ class TestInvariance:
             for m in COVARIANCE_METHODS:
                 cfg = EstimatorConfig(method=m, k_max=6)
                 assert estimate(DataPanel(a * panel.values), cfg).r_hat == 2
-
-    def test_demean_mode_changes_spectrum_when_means_present(self, rng):
-        Y = rng.standard_normal((40, 12)) + 7.0
-        none = estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=4, demean="none"))
-        double = estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=4, demean="double"))
-        assert not np.allclose(none.spectrum.raw, double.spectrum.raw)
 
 
 class TestMethodAgreement:

@@ -55,9 +55,9 @@ def loop_generate_panel(spec, replication, rng):
     assert (family == "gaussian") == (nu is None)
     scatter_factor = np.diag(np.sqrt(loop_scatter(spec)))
     espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
-    n_draws = T + spec.burn_in
+    n_draws = T + 50
     X = sample_elliptical(espec, n_draws, stream)
-    F = X[spec.burn_in:, :r]
+    F = X[50:, :r]
     V = X[:, r:]
     J, beta, rho = spec.J, spec.beta, spec.rho
     if J > 0:
@@ -74,8 +74,8 @@ def loop_generate_panel(spec, replication, rng):
     e_prev = np.zeros(N)
     for t in range(n_draws):
         e_prev = rho * e_prev + W[t]
-        if t >= spec.burn_in:
-            E[t - spec.burn_in] = e_prev
+        if t >= 50:
+            E[t - 50] = e_prev
     u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * E
     loadings = stream.generator(2).standard_normal((N, r))
     return F @ loadings.T + np.sqrt(spec.theta) * u
@@ -99,6 +99,9 @@ class TestScenarioSpec:
             plain_spec(scatter_diag=np.ones(5))
         with pytest.raises(ValueError, match="scatter_diag"):
             plain_spec(scatter_diag=np.zeros(11))
+        # the burn-in is a module constant, not a knob
+        with pytest.raises(TypeError, match="burn_in"):
+            plain_spec(burn_in=10)
 
     def test_label(self):
         assert make_scenario("A", dist="t3", N=50, T=50).label == "A-t3"
@@ -203,9 +206,9 @@ class TestGeneratePanel:
         stream = RngStream(11, 3)
         q = spec.N + spec.r
         espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
-        X = sample_elliptical(espec, spec.T + spec.burn_in, stream)
-        F = X[spec.burn_in:, : spec.r]
-        V = X[spec.burn_in:, spec.r:]
+        X = sample_elliptical(espec, spec.T + 50, stream)
+        F = X[50:, : spec.r]
+        V = X[50:, spec.r:]
         loadings = stream.generator(2).standard_normal((spec.N, spec.r))
         expected = F @ loadings.T + V
         assert np.array_equal(panel.values, expected)
@@ -217,9 +220,9 @@ class TestGeneratePanel:
         stream = RngStream(5, 0)
         q = spec.N + spec.r
         espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
-        n_draws = spec.T + spec.burn_in
+        n_draws = spec.T + 50
         X = sample_elliptical(espec, n_draws, stream)
-        F = X[spec.burn_in:, : spec.r]
+        F = X[50:, : spec.r]
         V = X[:, spec.r:]
         N, J, beta, rho = spec.N, spec.J, spec.beta, spec.rho
         E = np.zeros((spec.T, N))
@@ -230,8 +233,8 @@ class TestGeneratePanel:
                 window = sum(V[t, l] for l in range(max(0, i - J), min(N - 1, i + J) + 1))
                 e_now[i] = rho * e_prev[i] + (1.0 - beta) * V[t, i] + beta * window
             e_prev = e_now
-            if t >= spec.burn_in:
-                E[t - spec.burn_in] = e_now
+            if t >= 50:
+                E[t - 50] = e_now
         u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * E
         loadings = stream.generator(2).standard_normal((N, spec.r))
         expected = F @ loadings.T + u
@@ -319,6 +322,8 @@ class TestMethodConfigs:
             method_configs("pca")
         with pytest.raises(ValueError, match="no methods"):
             method_configs("  ,  ")
+        with pytest.raises(TypeError, match="demean"):
+            method_configs(demean="none")
 
 
 class TestRunScenario:

@@ -95,6 +95,16 @@ class TestRollingMechanics:
         # all windows that end before the modified row agree
         assert ra.rows[:20] == rb.rows[:20]
 
+    def test_results_hash_by_value_except_rows(self, rng):
+        panel = DataPanel(rng.standard_normal((20, 8)))
+        a = rolling_estimate(panel, window=10, configs=two_configs(k_max=3))
+        b = rolling_estimate(panel, window=10, configs=two_configs(k_max=3))
+        assert a == b and hash(a) == hash(b)
+        other = rolling.RollingResult(
+            rows=[(label, 0, 0) for label, *_ in a.rows], window=a.window, methods=a.methods
+        )
+        assert other != a and hash(other) == hash(a)
+
     def test_progress_callback(self, rng):
         panel = DataPanel(rng.standard_normal((14, 8)))
         calls = []
@@ -191,12 +201,10 @@ class TestRollingCsv:
         assert len(rows) == 1 + 5
 
 
-# the five default configs (double demeaning) plus one Kendall config without demeaning
-SHARED_CONFIGS = method_configs(None) | {
-    "mker_none": EstimatorConfig(method="mker", demean="none"),
-}
+# the five default configs
+SHARED_CONFIGS = method_configs(None)
 
-KENDALL_CONFIGS = {m: SHARED_CONFIGS[m] for m in ("mker", "mktcr", "mker_none")}
+KENDALL_CONFIGS = {m: SHARED_CONFIGS[m] for m in KENDALL_METHODS}
 
 
 def row_demeaned(Y):
@@ -221,15 +229,15 @@ def rolling_r_hat(result):
 
 
 class TestSharedPairWeights:
-    """Every window's Kendall matrix taken from one band of pair weights per demeaning mode."""
+    """Every window's Kendall matrix from one band of pair weights of the row-demeaned panel."""
 
     @pytest.mark.parametrize("nu", [0.5, 1.0])  # t_0.5 and Cauchy
     def test_every_window_matches_estimate_many(self, nu):
         Y = t_factor_panel(nu, seed=5, T=120, N=30)
         result = rolling_estimate(DataPanel(Y), 40, SHARED_CONFIGS)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 40, SHARED_CONFIGS)
-        for V in (Y, row_demeaned(Y)):  # every window took the shared band
-            assert all(pair_weight_band(V, 40).covers(s) for s in range(81))
+        # every window took the shared band
+        assert all(pair_weight_band(row_demeaned(Y), 40).covers(s) for s in range(81))
 
     def test_chunked_calls_match_one_call(self):
         Y = t_factor_panel(3.0, seed=8, T=150, N=20)
@@ -310,11 +318,27 @@ class TestSharedPairWeights:
                 # 2^20 below the panel's peak
                 assert band.covers(s) == (row_exp[s : s + 30].min() >= row_exp.max() - 20)
                 if not band.covers(s):
-                    fallbacks += 1
+                    fallbacks += mode == "double"  # rolling_estimate reads only this band
                     continue
                 ref = sample_kendall_tau(window_inputs(Y, s, 30)[mode])
                 assert window_kendall_tau(band, s).n_pairs == ref.n_pairs == 435
         assert direct.call_count == fallbacks
+
+    def test_covariance_configs_build_no_band(self):
+        Y = t_factor_panel(3.0, seed=31, T=60, N=15)
+        configs = method_configs("er,gr,tcr")
+        with mock.patch.object(rolling, "pair_weight_band", side_effect=AssertionError("band")):
+            result = rolling_estimate(DataPanel(Y), 25, configs)
+        assert rolling_r_hat(result) == per_window_r_hat(Y, 25, configs)
+
+    def test_covered_kendall_windows_are_not_demeaned(self):
+        Y = t_factor_panel(1.0, seed=37, T=60, N=15)
+        configs = method_configs("mker,mktcr")
+        assert all(pair_weight_band(row_demeaned(Y), 25).covers(s) for s in range(36))
+        expected = per_window_r_hat(Y, 25, configs)
+        with mock.patch.object(estimators, "_double_demean", side_effect=AssertionError("demean")):
+            result = rolling_estimate(DataPanel(Y), 25, configs)
+        assert rolling_r_hat(result) == expected
 
     def test_memory_is_banded(self, rng):
         Y = rng.standard_normal((4000, 20))
@@ -354,6 +378,7 @@ def old_estimate_many(panel, configs, kendall):
         raise ValueError("panel has missing values; impute first")
     T, N = panel.shape
     values_cache, raw_cache, spectra, results = {}, {}, {}, {}
+    mode = "double"  # the one demeaning mode left in use
 
     def demeaned(mode):
         if mode not in values_cache:
@@ -370,15 +395,15 @@ def old_estimate_many(panel, configs, kendall):
         if min(N, T) < config.k_max + 2:
             raise ValueError("panel too small")
         path = "kendall" if config.method in KENDALL_METHODS else "covariance"
-        key = (path, config.demean)
+        key = (path, mode)
         if key not in raw_cache:
             if path == "kendall":
-                kt = kendall(config.demean)
+                kt = kendall(mode)
                 if kt is None:
-                    kt = sample_kendall_tau(demeaned(config.demean))
+                    kt = sample_kendall_tau(demeaned(mode))
                 raw_cache[key] = old_eigenvalues_sym(kt.matrix)
             else:
-                Y = demeaned(config.demean)
+                Y = demeaned(mode)
                 G = Y @ Y.T if Y.shape[0] <= Y.shape[1] else Y.T @ Y
                 G /= Y.shape[0] * Y.shape[1]
                 raw_cache[key] = old_eigenvalues_sym(G)
@@ -389,15 +414,11 @@ def old_estimate_many(panel, configs, kendall):
     return results
 
 
-# all five methods in both demeaning modes, plus a second c and k_max
-CORE_CONFIGS = (
-    method_configs(None)
-    | {f"{m}_none": cfg for m, cfg in method_configs(None, demean="none").items()}
-    | {
-        "mktcr_c": EstimatorConfig(method="mktcr", k_max=5, c=0.05),
-        "gr_c": EstimatorConfig(method="gr", c=0.05),
-    }
-)
+# all five methods, plus a second c and k_max
+CORE_CONFIGS = method_configs(None) | {
+    "mktcr_c": EstimatorConfig(method="mktcr", k_max=5, c=0.05),
+    "gr_c": EstimatorConfig(method="gr", c=0.05),
+}
 
 
 class TestDecisionCore:
@@ -418,19 +439,14 @@ class TestDecisionCore:
         core = rolling._decide
         with mock.patch.object(rolling, "_decide", record):
             result = rolling_estimate(DataPanel(Y), window, CORE_CONFIGS)
-        bands = {
-            "none": pair_weight_band(Y, window),
-            "double": pair_weight_band(row_demeaned(Y), window),
-        }
-        covered = [bands["double"].covers(s) for s in range(61)]
+        band = pair_weight_band(row_demeaned(Y), window)
+        covered = [band.covers(s) for s in range(61)]
         assert any(covered) and not all(covered)
         assert len(decisions) == 61
         for start, (got, row) in enumerate(zip(decisions, result.rows)):
             ref = old_estimate_many(
                 DataPanel(Y[start : start + window]), CORE_CONFIGS,
-                lambda mode: (
-                    window_kendall_tau(bands[mode], start) if bands[mode].covers(start) else None
-                ),
+                lambda mode: window_kendall_tau(band, start) if band.covers(start) else None,
             )
             assert row[1:] == tuple(ref[m].r_hat for m in CORE_CONFIGS)
             for m, res in ref.items():
