@@ -8,6 +8,7 @@ after :func:`double_demean`.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -101,11 +102,12 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     Parameters
     ----------
     path : str or os.PathLike
-        UTF-8, comma-separated file; cells may be quoted. A cell that is
-        empty, "NA" or "NaN" (any case, surrounding whitespace allowed) is
-        missing. Every other cell must be a finite number: "inf", "+nan" and
-        overflowing literals such as "1e999" are rejected. Error messages give
-        1-based rows that count the header.
+        UTF-8, comma-separated file; cells may be quoted, and a leading
+        byte-order mark is dropped. A cell that is empty, "NA" or "NaN" (any
+        case, surrounding whitespace allowed) is missing. Every other cell
+        must be a finite number: "inf", "+nan" and overflowing literals such
+        as "1e999" are rejected. Error messages give 1-based rows that count
+        the header.
     has_header : bool
         Skip the first row.
     has_time_column : bool
@@ -116,34 +118,99 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     DataPanel
         Missing cells are flagged in the mask and hold NaN; column order is
         preserved.
+
+    Notes
+    -----
+    A plain file is read by numpy's C reader: one without quotes, carriage
+    returns (so no CRLF line ends), NUL characters or blank lines, whose data
+    lines all have the same number of commas. Every other file, and every plain file that the C
+    reader rejects or that holds an infinite value or a NaN spelled other
+    than as a missing token, is read cell by cell. Only that parser raises,
+    and both give the same value bytes, mask, labels and messages.
     """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    panel = _read_plain(text, has_header, has_time_column)
+    if panel is None:
+        panel = _read_cells(text, path, has_header, has_time_column)
+    return panel
+
+
+def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel | None:
+    """The panel of a plain file, read by np.loadtxt; None sends the file to _read_cells.
+
+    Here csv.reader would split each line at its commas and nothing else, so
+    the labels are the text before the first comma and the values are what
+    loadtxt reads once every empty cell is spelled "nan". Both readers round
+    through the same correctly rounded string-to-double conversion. NUL and
+    lines over csv's field size limit go to csv.reader, which may raise on
+    them.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    data = lines[1:] if has_header else lines
+    if len(data) < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    labels = None
+    if has_time_column:
+        labels, _, data = map(list, zip(*(line.partition(",") for line in data)))
+        if "" in data:  # a line with no data cell, which loadtxt would skip
+            return None
+    filled = []
+    for line in data:
+        if ",," in line or line[0] == "," or line[-1] == ",":
+            line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+            line = ("nan" if line[0] == "," else "") + line + ("nan" if line[-1] == "," else "")
+        filled.append(line)
+    # loadtxt rejects a line whose cell count differs from the first line's.
+    try:
+        values = np.loadtxt(filled, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] < 2 or np.isinf(values).any():
+        return None
+    # A NaN that is not an empty cell was spelled out, so its line holds an "n".
+    missing = np.isnan(values)
+    for t in np.flatnonzero(missing.any(axis=1)):
+        line = data[t].lower()
+        if "n" in line:
+            cells = line.split(",")
+            if any(cells[j].strip() not in _MISSING_TOKENS for j in np.flatnonzero(missing[t])):
+                return None
+    return DataPanel(values, time_labels=labels, missing_mask=missing)
+
+
+def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> DataPanel:
+    """The exact parser: csv.reader records, checked cell by cell; raises every input error."""
     # A well-formed cell costs one float() call. Only a row whose sum is not
     # finite is looked at cell by cell, and there only the non-finite cells.
     rows: list[list[float]] = []
     labels: list[str] = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if has_time_column:
-                if not record:
-                    raise ValueError(f"{path}: row {lineno} is empty")
-                labels.append(record.pop(0))
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(record)} columns, expected {width}"
-                )
-            row = list(map(_float_or_nan, record))
-            if not math.isfinite(sum(row)):
-                row = [
-                    x if math.isfinite(x) else _check_cell(cell, path, lineno, colno)
-                    for colno, (x, cell) in enumerate(zip(row, record), start=1)
-                ]
-            rows.append(row)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for lineno, record in enumerate(reader, start=1):
+        if has_header and lineno == 1:
+            continue
+        if has_time_column:
+            if not record:
+                raise ValueError(f"{path}: row {lineno} is empty")
+            labels.append(record.pop(0))
+        if width is None:
+            width = len(record)
+        elif len(record) != width:
+            raise ValueError(
+                f"{path}: row {lineno} has {len(record)} columns, expected {width}"
+            )
+        row = list(map(_float_or_nan, record))
+        if not math.isfinite(sum(row)):
+            row = [
+                x if math.isfinite(x) else _check_cell(cell, path, lineno, colno)
+                for colno, (x, cell) in enumerate(zip(row, record), start=1)
+            ]
+        rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if width is None or width < 2:

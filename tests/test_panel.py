@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from robustfactors import panel as panel_module
 from robustfactors.panel import DataPanel, double_demean, impute_column_mean, ingest_csv
 
 
@@ -76,6 +78,15 @@ def parse_outcome(parser, path, has_header, has_time_column):
             panel.shape, panel.time_labels)
 
 
+def ingest_both(path, has_header=True, has_time_column=False):
+    """(outcome, plain): ingest_csv's outcome, checked against reference_ingest_csv,
+    and whether numpy's C reader read the file, not the cell-by-cell parser."""
+    with mock.patch.object(panel_module, "_read_cells", wraps=panel_module._read_cells) as exact:
+        outcome = parse_outcome(ingest_csv, path, has_header, has_time_column)
+    assert outcome == parse_outcome(reference_ingest_csv, path, has_header, has_time_column)
+    return outcome, not exact.called
+
+
 MISSING_SPELLINGS = ["", "  ", "NA", "na", "NaN", " nan "]
 EDGE_NUMBERS = ["5e-324", "1.7976931348623157e308", "-0.0", "0.10000000000000001",
                 "-1.2345678901234567e-300", " 7 ", "1_000", "\u00a02\u00a0", "\x1c3"]
@@ -126,6 +137,52 @@ def csv_inputs(draw):
             cells.insert(0, draw(st.sampled_from(["2001-01", "t,1", " x ", ""])))
         lines.append(",".join(render_cell(c, draw(st.booleans())) for c in cells))
     return "\n".join(lines) + "\n", has_header, has_time_column
+
+
+@st.composite
+def plain_cell_tokens(draw):
+    """Numbers and empty cells the C reader takes; one cell in 30 is any token of cell_tokens."""
+    bucket = draw(st.integers(0, 99))
+    if bucket < 15:
+        return ""
+    if bucket < 20:
+        return draw(st.sampled_from(["nan", " NaN ", "5e-324", "-0.0", " 7 ", "\x1c3", "\u00a02\u00a0"]))
+    if bucket < 23:
+        return draw(cell_tokens())
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from([repr, "{:.17g}".format]))(x)
+
+
+@st.composite
+def plain_csv_inputs(draw):
+    """(text, has_header, has_time_column): quote-free LF files, most of them plain.
+
+    Cells are never quoted, so a token with a comma makes two cells. At
+    most one line is blank, has a cell too few or too many, or has a label
+    with a comma.
+    """
+    has_header = draw(st.booleans())
+    has_time_column = draw(st.booleans())
+    width = draw(st.integers(2, 5))  # csv_inputs covers one column
+    n_lines = draw(st.integers(2, 8))
+    trap = {3: "blank", 4: "short", 5: "long", 6: "label"}.get(draw(st.integers(0, 9)))
+    trap_line = draw(st.integers(2, n_lines))
+    lines = []
+    for lineno in range(1, n_lines + 1):
+        at_trap = lineno == trap_line
+        if at_trap and trap == "blank":
+            lines.append("")
+            continue
+        n = width + {"short": -1, "long": 1}.get(trap, 0) if at_trap else width
+        if has_header and lineno == 1:
+            cells = [f"s{j}" for j in range(n)]
+        else:
+            cells = [draw(plain_cell_tokens()) for _ in range(n)]
+        if has_time_column:
+            label = "t,1" if at_trap and trap == "label" else draw(st.sampled_from(["2001-01", " x ", "", "#", "nan"]))
+            cells.insert(0, label)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), has_header, has_time_column
 
 
 class TestIngest:
@@ -194,12 +251,6 @@ class TestIngestOracle:
     def csv_dir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("oracle")
 
-    def assert_same(self, path, has_header, has_time_column):
-        new = parse_outcome(ingest_csv, path, has_header, has_time_column)
-        ref = parse_outcome(reference_ingest_csv, path, has_header, has_time_column)
-        assert new == ref
-        return new
-
     @settings(max_examples=300, deadline=None)
     @given(case=csv_inputs())
     @example(case=("1,2\n3,4,x\n", False, False))
@@ -207,17 +258,27 @@ class TestIngestOracle:
         text, has_header, has_time_column = case
         path = csv_dir / "panel.csv"
         path.write_text(text, encoding="utf-8")
-        self.assert_same(path, has_header, has_time_column)
+        ingest_both(path, has_header, has_time_column)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=plain_csv_inputs())
+    @example(case=("a,b\n1,\n,2\n", True, False))
+    def test_plain_files_match_reference(self, csv_dir, case):
+        text, has_header, has_time_column = case
+        path = csv_dir / "plain.csv"
+        path.write_text(text, encoding="utf-8")
+        _, plain = ingest_both(path, has_header, has_time_column)
+        event("C reader" if plain else "exact parser")
 
     @pytest.mark.parametrize("bad", ["inf", "-Infinity", "+nan", "1e999"])
     def test_non_finite_reported_before_a_later_unparseable_cell(self, tmp_path, bad):
         path = write_csv(tmp_path, f"a,b,c\n1,2,3\n4,{bad},oops\n")
-        outcome = self.assert_same(path, True, False)
+        outcome, _ = ingest_both(path, True, False)
         assert outcome == ("error", f"{path}: non-finite value at row 3, column 2")
 
     def test_unparseable_reported_before_a_later_non_finite_cell(self, tmp_path):
         path = write_csv(tmp_path, "a,b,c\n1,2,3\n4,oops,inf\n")
-        outcome = self.assert_same(path, True, False)
+        outcome, _ = ingest_both(path, True, False)
         assert outcome == ("error", f"{path}: cannot parse cell at row 3, column 2: 'oops'")
 
     @pytest.mark.parametrize("has_header", [False, True])
@@ -229,7 +290,7 @@ class TestIngestOracle:
             row = "2001-01," + row
         header = "h\n" if has_header else ""
         path = write_csv(tmp_path, f"{header}{row}\n{row}\n")
-        outcome = self.assert_same(path, has_header, has_time_column)
+        outcome, _ = ingest_both(path, has_header, has_time_column)
         assert outcome[0] == "ok"
         assert outcome[3] == (2, len(cells))
         values = np.frombuffer(outcome[1], dtype=np.float64)[:len(MISSING_SPELLINGS) + 3]
@@ -239,8 +300,97 @@ class TestIngestOracle:
 
     def test_empty_row_with_time_column(self, tmp_path):
         path = write_csv(tmp_path, "d,a,b\nx,1,2\n\ny,3,4\n")
-        outcome = self.assert_same(path, True, True)
+        outcome, _ = ingest_both(path, True, True)
         assert outcome == ("error", f"{path}: row 3 is empty")
+
+
+class TestPlainReaderTraps:
+    """Files where a plain np.loadtxt read would part from the cell-by-cell parser."""
+
+    def test_extra_cell_in_a_later_row_under_a_time_column(self, tmp_path):
+        path = write_csv(tmp_path, "d,a,b\nx,1,2\ny,3,4,5\nz,6,7\n")
+        outcome, _ = ingest_both(path, has_time_column=True)
+        assert outcome == ("error", f"{path}: row 3 has 3 columns, expected 2")
+
+    def test_blank_line_mid_file(self, tmp_path):
+        path = write_csv(tmp_path, "a,b\n1,2\n\n3,4\n")
+        outcome, _ = ingest_both(path)
+        assert outcome == ("error", f"{path}: row 3 has 0 columns, expected 2")
+
+    @pytest.mark.parametrize("bad", ["+nan", "-NaN", "inf", "1e999"])
+    def test_non_finite_spellings(self, tmp_path, bad):
+        path = write_csv(tmp_path, f"a,b,c\n1,2,3\n4,{bad},6\n")
+        outcome, _ = ingest_both(path)
+        assert outcome == ("error", f"{path}: non-finite value at row 3, column 2")
+
+    @pytest.mark.parametrize("token, plain", [("NA", False), (" nan ", True), ("  ", False)])
+    def test_missing_spellings(self, tmp_path, token, plain):
+        path = write_csv(tmp_path, f"a,b\n1,{token}\n3,4\n")
+        outcome, took_c_reader = ingest_both(path)
+        assert took_c_reader is plain
+        assert outcome[0] == "ok"
+        assert np.frombuffer(outcome[2], dtype=bool).tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("has_time_column", [False, True])
+    def test_leading_trailing_and_runs_of_empty_cells(self, tmp_path, has_time_column):
+        rows = [",,,1", "2,,,", ",3,,", "4,5,6,7"]
+        label = "t," if has_time_column else ""
+        path = write_csv(tmp_path, "a,b,c,d\n" + "".join(label + row + "\n" for row in rows))
+        outcome, plain = ingest_both(path, has_time_column=has_time_column)
+        assert plain
+        mask = np.frombuffer(outcome[2], dtype=bool).reshape(4, 4)
+        assert mask.tolist() == [[cell == "" for cell in row.split(",")] for row in rows]
+
+    @pytest.mark.parametrize("has_time_column", [False, True])
+    def test_hash_cell(self, tmp_path, has_time_column):
+        label = "t," if has_time_column else ""
+        path = write_csv(tmp_path, f"a,b\n{label}1,2\n{label}3,4\n{label}#,5\n")
+        outcome, _ = ingest_both(path, has_time_column=has_time_column)
+        assert outcome == ("error", f"{path}: cannot parse cell at row 4, column 1: '#'")
+
+    def test_benchmark_layout_takes_the_c_reader(self, tmp_path, monkeypatch):
+        """A 708 x 128 dated Cauchy panel with 16 late-starting series, as perfbench writes it."""
+        rng = np.random.default_rng(7)
+        T, N = 708, 128
+        Y = (rng.standard_normal((T, 4)) @ rng.standard_normal((4, N)) + rng.standard_normal((T, N)))
+        Y /= np.abs(rng.standard_normal((T, 1)))
+        for j, start in zip(range(N - 16, N), rng.integers(24, 180, size=16)):
+            Y[:start, j] = np.nan
+        lines = ["date," + ",".join(f"x{j + 1}" for j in range(N))]
+        for t in range(T):
+            cells = ("" if np.isnan(v) else repr(float(v)) for v in Y[t])
+            lines.append(f"{1959 + t // 12}-{t % 12 + 1:02d}," + ",".join(cells))
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        expected = parse_outcome(reference_ingest_csv, path, True, True)
+
+        def no_cells(*args):
+            raise AssertionError("the cell-by-cell parser read a plain file")
+
+        monkeypatch.setattr(panel_module, "_read_cells", no_cells)
+        assert parse_outcome(ingest_csv, path, True, True) == expected
+        assert np.array_equal(np.isnan(Y), np.frombuffer(expected[2], dtype=bool).reshape(T, N))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of the first cell, on either reader."""
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("has_time_column", [False, True])
+    def test_mark_is_dropped(self, tmp_path, has_header, has_time_column, quoted):
+        rows = [["2001-01", "1", "2"], ["2001-02", "3", "4"]]
+        if not has_time_column:
+            rows = [row[1:] for row in rows]
+        if has_header:
+            rows.insert(0, ["h"] * len(rows[0]))
+        q = '"' if quoted else ""
+        text = "".join(",".join(q + cell + q for cell in row) + "\n" for row in rows)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        panel = ingest_csv(marked, has_header=has_header, has_time_column=has_time_column)
+        assert panel.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert panel.time_labels == (["2001-01", "2001-02"] if has_time_column else None)
+
 
 class TestDataPanel:
     def test_requires_2d(self):
