@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
-from .estimators import ALL_METHODS, EstimatorConfig, _check_size, estimate_many
+from .estimators import ALL_METHODS, EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
 
 __all__ = [
@@ -251,9 +251,6 @@ def method_configs(
         names = [str(tok) for tok in methods]
     if not names:
         raise ValueError("no methods given")
-    for name in names:
-        if name not in ALL_METHODS:
-            raise ValueError(f"unknown method {name!r}; expected one of {ALL_METHODS}")
     return {
         name: EstimatorConfig(method=name, k_max=k_max, c=c, allow_zero=allow_zero)
         for name in names
@@ -268,16 +265,16 @@ def run_scenario(
 ) -> MonteCarloReport:
     """Run spec.reps replications and aggregate x(y|z) per config name.
 
-    Replication k uses RngStream(master_seed, k) and is estimated with
-    :func:`~robustfactors.estimators.estimate_many`, so the report depends
-    only on the spec, the configs and the seed.
+    Replication k uses RngStream(master_seed, k), so the report depends only
+    on the spec, the configs and the seed. The configs are checked once, before
+    any panel is drawn; each panel then goes to ``estimators._decide``, the
+    decision core that ``estimate_many`` and ``rolling_estimate`` share.
     """
-    _check_size((spec.T, spec.N), configs)  # before any panel is drawn
+    _check_size((spec.T, spec.N), configs)
     base = RngStream(master_seed, 0)
     hist: dict[str, dict[int, int]] = {name: {} for name in configs}
     for k in range(spec.reps):
-        panel = generate_panel(spec, k, base)
-        results = estimate_many(panel, configs)
+        results = _decide(generate_panel(spec, k, base).values, configs, None)
         for name, res in results.items():
             hist[name][res.r_hat] = hist[name].get(res.r_hat, 0) + 1
         if progress is not None:

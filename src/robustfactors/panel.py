@@ -106,8 +106,8 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
         byte-order mark is dropped. A cell that is empty, "NA" or "NaN" (any
         case, surrounding whitespace allowed) is missing. Every other cell
         must be a finite number: "inf", "+nan" and overflowing literals such
-        as "1e999" are rejected. Error messages give 1-based rows that count
-        the header.
+        as "1e999" are rejected, and so is a byte that is not UTF-8. Error
+        messages give 1-based rows that count the header.
     has_header : bool
         Skip the first row.
     has_time_column : bool
@@ -121,15 +121,19 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
 
     Notes
     -----
-    A plain file is read by numpy's C reader: one without quotes, carriage
-    returns (so no CRLF line ends), NUL characters or blank lines, whose data
-    lines all have the same number of commas. Every other file, and every plain file that the C
-    reader rejects or that holds an infinite value or a NaN spelled other
-    than as a missing token, is read cell by cell. Only that parser raises,
-    and both give the same value bytes, mask, labels and messages.
+    A plain file (no quotes, carriage returns, NUL characters or blank lines;
+    the same number of commas on every data line) is read by numpy's C reader
+    unless that reader rejects it, it holds an infinite value, or a data cell
+    has an "n" and is not a missing token. Every other file is read cell by
+    cell; only that parser raises on a cell, and both give the same value
+    bytes, mask, labels and messages.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # exc.object is the input after any byte-order mark
+            row = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: row {row} is not valid UTF-8") from None
     panel = _read_plain(text, has_header, has_time_column)
     if panel is None:
         panel = _read_cells(text, path, has_header, has_time_column)
@@ -151,16 +155,21 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    data = lines[1:] if has_header else lines
-    if len(data) < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+    if len(lines) - has_header < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit():
         return None
-    labels = None
-    if has_time_column:
-        labels, _, data = map(list, zip(*(line.partition(",") for line in data)))
-        if "" in data:  # a line with no data cell, which loadtxt would skip
-            return None
+    labels = [] if has_time_column else None
     filled = []
-    for line in data:
+    for line in lines[has_header:]:
+        if has_time_column:
+            label, _, line = line.partition(",")
+            if not line:  # no data cell, which loadtxt would skip
+                return None
+            labels.append(label)
+        # Only nan, inf and infinity hold an "n" and parse as floats.
+        if ("n" in line or "N" in line) and any(
+            "n" in cell and cell.strip() not in _MISSING_TOKENS for cell in line.lower().split(",")
+        ):
+            return None
         if ",," in line or line[0] == "," or line[-1] == ",":
             line = line.replace(",,", ",nan,").replace(",,", ",nan,")
             line = ("nan" if line[0] == "," else "") + line + ("nan" if line[-1] == "," else "")
@@ -172,15 +181,7 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
         return None
     if values.shape[1] < 2 or np.isinf(values).any():
         return None
-    # A NaN that is not an empty cell was spelled out, so its line holds an "n".
-    missing = np.isnan(values)
-    for t in np.flatnonzero(missing.any(axis=1)):
-        line = data[t].lower()
-        if "n" in line:
-            cells = line.split(",")
-            if any(cells[j].strip() not in _MISSING_TOKENS for j in np.flatnonzero(missing[t])):
-                return None
-    return DataPanel(values, time_labels=labels, missing_mask=missing)
+    return DataPanel(values, time_labels=labels, missing_mask=np.isnan(values))
 
 
 def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> DataPanel:
@@ -229,8 +230,6 @@ def impute_column_mean(panel: DataPanel) -> DataPanel:
     Non-missing cells are unchanged; the returned panel has an all-false mask.
     Raises ValueError if some column is entirely missing.
     """
-    if not panel.has_missing:
-        return DataPanel(panel.values.copy(), panel.time_labels)
     values = panel.values.copy()
     mask = panel.missing_mask
     for j in np.flatnonzero(mask.any(axis=0)):

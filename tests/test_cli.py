@@ -205,6 +205,14 @@ class TestEstimate:
         assert proc.returncode == 1
         assert "/no/such/panel.csv" in proc.stderr
 
+    def test_invalid_utf8_names_file_and_row(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,2\n3,\xff4\n")
+        proc = run_cli("estimate", "--input", str(bad))
+        assert proc.returncode == 1
+        assert f"{bad}: row 3 is not valid UTF-8" in proc.stderr
+        assert proc.stdout == ""
+
     def test_input_flag_required(self):
         proc = run_cli("estimate")
         assert proc.returncode == 1

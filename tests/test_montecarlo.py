@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from robustfactors import montecarlo
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
-from robustfactors.estimators import ALL_METHODS, EstimatorConfig
+from robustfactors.estimators import ALL_METHODS, EstimatorConfig, estimate_many
 from robustfactors.montecarlo import (
     CellStats,
     ScenarioSpec,
@@ -320,6 +321,8 @@ class TestMethodConfigs:
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="unknown method"):
             method_configs("pca")
+        with pytest.raises(ValueError, match="unknown method 'pca'"):
+            method_configs("mker,pca,xyz")
         with pytest.raises(ValueError, match="no methods"):
             method_configs("  ,  ")
         with pytest.raises(TypeError, match="demean"):
@@ -337,6 +340,15 @@ class TestRunScenario:
             assert stats.under + stats.over + exact == 12
             mean = sum(j * n for j, n in stats.histogram.items()) / 12
             assert stats.mean == pytest.approx(mean)
+
+    def test_matches_estimate_many_per_replication(self):
+        spec = make_scenario("C1", N=30, T=30, reps=3)
+        configs = method_configs("mker,er", k_max=4)
+        report = run_scenario(spec, configs, master_seed=2)
+        panels = [generate_panel(spec, k, RngStream(2, 0)) for k in range(spec.reps)]
+        for name in configs:
+            counts = Counter(estimate_many(p, configs)[name].r_hat for p in panels)
+            assert report.per_method[name].histogram == counts
 
     def test_seed_determinism(self):
         spec = make_scenario("A", dist="gaussian", N=30, T=30, reps=4)

@@ -243,6 +243,20 @@ class TestIngest:
         with pytest.raises(OSError, match="nope.csv"):
             ingest_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("data, row", [
+        (b"a,b\n1,2\n3,\xff4\n", 3),
+        (b"\xffa,b\n1,2\n3,4\n", 1),
+        (b"a,b\n1,2\n3,4\xc3", 3),  # a multi-byte character cut short at the end
+        (b"\xef\xbb\xbfa,b\n\xff1,2\n3,4\n", 2),  # rows counted after the byte-order mark
+        (b'"a","b"\n1,2\n"3",\xff4\n', 3),
+    ])
+    def test_invalid_utf8_names_file_and_row(self, tmp_path, data, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == f"{path}: row {row} is not valid UTF-8"
+
 
 class TestIngestOracle:
     """ingest_csv gives the bytes, mask, labels and errors of the cell-by-cell parser."""
@@ -330,6 +344,33 @@ class TestPlainReaderTraps:
         assert took_c_reader is plain
         assert outcome[0] == "ok"
         assert np.frombuffer(outcome[2], dtype=bool).tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("token, plain", [("NaN", True), (" nan ", True), (" na ", False)])
+    def test_missing_tokens_under_labels_with_an_n(self, tmp_path, token, plain):
+        """The "n" of a label such as Jan-1960 does not send the file to the cell parser.
+
+        " na " passes the per-line vet too, but np.loadtxt has no such spelling,
+        so the cell parser reads that file.
+        """
+        path = write_csv(tmp_path, f"date,a,b\nJan-1960,1,{token}\nFeb-1960,3,4\nMar-1960,5,6\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as c_reader:
+            outcome, took_c_reader = ingest_both(path, has_time_column=True)
+        assert c_reader.called
+        assert took_c_reader is plain
+        assert outcome[0] == "ok"
+        assert np.frombuffer(outcome[2], dtype=bool).tolist() == [False, True] + [False] * 4
+        assert outcome[4] == ["Jan-1960", "Feb-1960", "Mar-1960"]
+
+    @pytest.mark.parametrize("bad", ["-nan", "inf"])
+    def test_non_finite_under_labels_with_an_n(self, tmp_path, bad):
+        """A data cell with an "n" that is not a missing token goes to the cell parser
+        before np.loadtxt runs, and that parser raises its own message."""
+        path = write_csv(tmp_path, f"date,a,b\nJan-1960,1,2\nFeb-1960,3,{bad}\nMar-1960,5,6\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as c_reader:
+            outcome, took_c_reader = ingest_both(path, has_time_column=True)
+        assert not c_reader.called
+        assert not took_c_reader
+        assert outcome == ("error", f"{path}: non-finite value at row 3, column 2")
 
     @pytest.mark.parametrize("has_time_column", [False, True])
     def test_leading_trailing_and_runs_of_empty_cells(self, tmp_path, has_time_column):
