@@ -63,7 +63,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class EllipticalSpec:
     """Location, scatter factor and radial law of an elliptical distribution.
 

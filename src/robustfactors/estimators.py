@@ -62,11 +62,11 @@ class EstimatorConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class EstimationResult:
     """Chosen factor number plus the criterion series that produced it.
 

@@ -46,7 +46,7 @@ _FIXUP_FLOOR = 2.0**-1000
 _SHARED_RANGE_BITS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class KendallTauMatrix:
     """N x N sample multivariate Kendall's tau.
 
@@ -220,7 +220,7 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
     return _average(total, T, dropped, n_direct)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class PairWeightBand:
     """Pair weights of the rows of a panel that are fewer than ``window`` rows apart.
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +21,20 @@ __all__ = ["DataPanel", "ingest_csv", "impute_column_mean", "double_demean"]
 # Tokens treated as missing cells in CSV input (case-insensitive).
 _MISSING_TOKENS = {"", "na", "nan"}
 
+# _read_long needs the x87 80-bit long double: a 64-bit significand word, then
+# the sign and 15-bit exponent, in 16 little-endian bytes.
+_X87_LONG_DOUBLE = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+# The biased long-double exponent of the least normal double, 2**-1022.
+_LONG_DOUBLE_MIN_NORMAL_DOUBLE = 16383 - 1022
+# Data lines per np.fromstring call; one joined chunk is live at a time.
+_CHUNK_ROWS = 64
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class DataPanel:
     """T x N observation matrix with optional time labels and missing mask.
 
@@ -122,11 +136,15 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     Notes
     -----
     A plain file (no quotes, carriage returns, NUL characters or blank lines;
-    the same number of commas on every data line) is read by numpy's C reader
-    unless that reader rejects it, it holds an infinite value, or a data cell
-    has an "n" and is not a missing token. Every other file is read cell by
-    cell; only that parser raises on a cell, and both give the same value
-    bytes, mask, labels and messages.
+    the same number of commas on every data line) is read by numpy's C
+    readers unless they reject it, it holds an infinite value, or a data cell
+    has an "n" and is not a missing token. If a cell of the first data row
+    has more than 15 significant digits, np.fromstring reads the cells as x87
+    long doubles, which are rounded to doubles, and the few cells where that
+    rounding can part from float() are read again; on such cells this is
+    faster than np.loadtxt, which reads every other plain file. Every other
+    file is read cell by cell; only that parser raises on a cell, and all
+    readers give the same value bytes, mask, labels and messages.
     """
     with open(path, "rb") as fh:
         try:
@@ -141,14 +159,16 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
 
 
 def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel | None:
-    """The panel of a plain file, read by np.loadtxt; None sends the file to _read_cells.
+    """The panel of a plain file, read by numpy; None sends the file to _read_cells.
 
     Here csv.reader would split each line at its commas and nothing else, so
     the labels are the text before the first comma and the values are what
-    loadtxt reads once every empty cell is spelled "nan". Both readers round
-    through the same correctly rounded string-to-double conversion. NUL and
-    lines over csv's field size limit go to csv.reader, which may raise on
-    them.
+    numpy reads once every empty cell is spelled "nan". When the first data
+    row has a cell with more than 15 significant digits, as repr, pandas and
+    np.savetxt write them, _read_long reads the cells; otherwise, or when it
+    declines the file, np.loadtxt does. Either way each value is the correctly
+    rounded double that float() gives. NUL and lines over csv's field size
+    limit go to csv.reader, which may raise on them.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -157,9 +177,10 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
         lines.pop()
     if len(lines) - has_header < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit():
         return None
+    del lines[:has_header]
     labels = [] if has_time_column else None
-    filled = []
-    for line in lines[has_header:]:
+    # Each line is replaced by its filled data cells, so one copy of the text is live.
+    for i, line in enumerate(lines):
         if has_time_column:
             label, _, line = line.partition(",")
             if not line:  # no data cell, which loadtxt would skip
@@ -173,15 +194,73 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
         if ",," in line or line[0] == "," or line[-1] == ",":
             line = line.replace(",,", ",nan,").replace(",,", ",nan,")
             line = ("nan" if line[0] == "," else "") + line + ("nan" if line[-1] == "," else "")
-        filled.append(line)
-    # loadtxt rejects a line whose cell count differs from the first line's.
-    try:
-        values = np.loadtxt(filled, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
+        lines[i] = line
+    values = _read_long(lines) if _X87_LONG_DOUBLE and _has_long_cells(lines[0]) else None
+    if values is None:
+        # loadtxt rejects a line whose cell count differs from the first line's.
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
     if values.shape[1] < 2 or np.isinf(values).any():
         return None
     return DataPanel(values, time_labels=labels, missing_mask=np.isnan(values))
+
+
+def _has_long_cells(line: str) -> bool:
+    """Whether a cell of the line has more than 15 significant digits.
+
+    Past 15 digits Gay's strtod, behind float() and np.loadtxt, leaves its
+    exact fast path for a bignum correction step, and strtold is faster.
+    """
+    return any(
+        len(cell.partition("e")[0].partition("E")[0].lstrip("+-0.").replace(".", "")) > 15
+        for cell in line.split(",")
+    )
+
+
+def _read_long(lines: list[str]) -> np.ndarray | None:
+    """Filled data lines read by glibc's strtold and rounded to doubles; None declines them.
+
+    A long double holds the correctly rounded 64-bit significand of the
+    decimal, and rounding it to 53 bits gives float()'s double unless it lies
+    exactly halfway between two doubles (its 11 dropped bits are 0x400) or
+    below the normal double range, where a double has fewer bits. Only those
+    cells are read again with float(). np.fromstring also reads hex and
+    reads a blank cell as 0, so a chunk with whitespace or an "x" is
+    declined, as is any line whose comma count differs from the first's; it
+    raises on any other cell that float() rejects (older numpy warns instead).
+    """
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
+        return None
+    width = commas + 1
+    values = np.empty((len(lines), width))
+    redo = np.empty((len(lines), width), dtype=bool)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy truncates at bad data
+        for start in range(0, len(lines), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, len(lines))
+            chunk = ",".join(lines[start:stop])
+            if not chunk.isascii() or any(ch in chunk for ch in " \t\v\fxX"):
+                return None
+            try:
+                wide = np.fromstring(chunk, dtype=np.longdouble, sep=",")
+            except (ValueError, DeprecationWarning):
+                return None
+            del chunk  # before the next join
+            words = wide.view(np.uint64).reshape(stop - start, width, 2)
+            significand, exponent = words[..., 0], words[..., 1] & 0x7FFF  # drops the sign bit
+            redo[start:stop] = ((significand & 0x7FF) == 0x400) | (
+                (exponent < _LONG_DOUBLE_MIN_NORMAL_DOUBLE) & (significand != 0)
+            )
+            values[start:stop] = wide.reshape(stop - start, width)  # rounds; 1e999 becomes inf
+    row = -1
+    for r, c in zip(*np.nonzero(redo)):
+        if r != row:
+            row, cells = r, lines[r].split(",")
+        values[r, c] = float(cells[c])
+    return values
 
 
 def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> DataPanel:

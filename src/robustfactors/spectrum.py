@@ -17,7 +17,7 @@ from ._errors import InvariantError, NumericalError
 __all__ = ["EigenSpectrum", "eigenvalues_sym", "build_spectrum", "gram_eigenvalues"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class EigenSpectrum:
     """Descending spectrum with regularized values, tail sums and mock eigenvalue.
 
@@ -92,7 +92,8 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
         Panel dimensions; m = min(N, T) drives the regularizer, and the top
         min(N, T, len(raw_eigenvalues)) eigenvalues are kept.
     c : float
-        Positive regularizer constant.
+        Positive regularizer constant. A spectrum or tail sum that is not
+        finite, as from c = inf or c = 1e308, raises NumericalError.
     """
     raw = np.asarray(raw_eigenvalues, dtype=np.float64).copy()
     if raw.ndim != 1 or raw.size == 0:
@@ -116,7 +117,10 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
     mock_zero = -1.0 / np.log(delta)
     # V_j = sum of regularized[j:]; the reverse cumulative sum makes the
     # telescoping identity V_{j-1} = V_j + regularized[j-1] hold exactly.
-    tail_sums = np.cumsum(regularized[::-1])[::-1].copy()
+    with np.errstate(over="ignore"):
+        tail_sums = np.cumsum(regularized[::-1])[::-1].copy()
+    if not np.isfinite(tail_sums[0]):  # the largest sum of nonnegative terms
+        raise NumericalError(f"regularized spectrum or its tail sums are not finite (c={c!r})")
     return EigenSpectrum(
         raw=raw,
         regularized=regularized,

@@ -200,6 +200,18 @@ class TestEstimate:
         assert "k_max must be >= 1" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("c, code, message", [
+        ("inf", 1, "error: c must be positive and finite"),
+        ("nan", 1, "error: c must be positive and finite"),
+        ("1e308", 2, "numerical error: regularized spectrum or its tail sums are not finite"),
+    ])
+    def test_non_finite_c(self, factor_csv, c, code, message):
+        proc = run_cli("estimate", "--input", factor_csv, "--c", c)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(message)
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_mentions_path(self):
         proc = run_cli("estimate", "--input", "/no/such/panel.csv")
         assert proc.returncode == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfactors.elliptical import EllipticalSpec
 from robustfactors.estimators import (
     ALL_METHODS,
     COVARIANCE_METHODS,
@@ -16,6 +17,7 @@ from robustfactors.estimators import (
     estimate,
     estimate_many,
 )
+from robustfactors.kendall import pair_weight_band, sample_kendall_tau
 from robustfactors.panel import DataPanel
 from robustfactors.spectrum import build_spectrum
 
@@ -105,10 +107,36 @@ class TestConfig:
         with pytest.raises(TypeError, match="demean"):
             EstimatorConfig(method="mker", demean="none")
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            EstimatorConfig(method="mker", c=c)
+
     def test_method_groups(self):
         assert set(KENDALL_METHODS) == {"mker", "mktcr"}
         assert set(COVARIANCE_METHODS) == {"er", "gr", "tcr"}
         assert set(ALL_METHODS) == set(KENDALL_METHODS) | set(COVARIANCE_METHODS)
+
+
+# Each builds two instances from equal but distinct arrays.
+ARRAY_HOLDERS = {
+    "DataPanel": lambda Y: DataPanel(Y),
+    "KendallTauMatrix": lambda Y: sample_kendall_tau(Y),
+    "PairWeightBand": lambda Y: pair_weight_band(Y, 4),
+    "EigenSpectrum": lambda Y: build_spectrum([1.0, 0.5, 0.25], N=10, T=10, c=0.01),
+    "EstimationResult": lambda Y: estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=2)),
+    "EllipticalSpec": lambda Y: EllipticalSpec(Y[0], Y[:, :3], nu=3.0),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(name):
+    """== on array fields would raise "truth value of an array is ambiguous"."""
+    Y = np.random.default_rng(5).standard_normal((8, 8))
+    a, b = ARRAY_HOLDERS[name](Y), ARRAY_HOLDERS[name](Y.copy())
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 class TestCriterionValues:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import decimal
+import math
 from unittest import mock
 
 import numpy as np
@@ -87,6 +89,36 @@ def ingest_both(path, has_header=True, has_time_column=False):
     return outcome, not exact.called
 
 
+def ingest_which(path, has_header=True, has_time_column=False):
+    """(outcome, reader): ingest_both's outcome and the reader that gave it.
+
+    reader is "long" (_read_long), "loadtxt" or "cells" (_read_cells).
+    """
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as c_reader:
+        outcome, plain = ingest_both(path, has_header, has_time_column)
+    return outcome, ("loadtxt" if c_reader.called else "long") if plain else "cells"
+
+
+# The reader of full-precision cells where long double is the x87 type.
+LONG = "long" if panel_module._X87_LONG_DOUBLE else "loadtxt"
+_EXACT = decimal.Context(prec=2000)  # every double and midpoint has fewer digits
+
+
+def midpoint(x: float) -> decimal.Decimal:
+    """The exact decimal halfway between x and the next double up."""
+    return _EXACT.divide(_EXACT.add(decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))), 2)
+
+
+def near_tie(x: float) -> str:
+    """A decimal 1e-25 ulp from midpoint(x), on the side of whichever of x and its
+    upper neighbour has an odd significand. float() reads that odd double, while
+    its 64-bit long double is the midpoint, which rounds to the even one."""
+    upper = decimal.Decimal(math.nextafter(x, math.inf))
+    step = _EXACT.multiply(_EXACT.subtract(upper, decimal.Decimal(x)), decimal.Decimal("1e-25"))
+    odd_above = np.float64(x).view(np.int64) % 2 == 0
+    return str(_EXACT.add(midpoint(x), step if odd_above else -step))
+
+
 MISSING_SPELLINGS = ["", "  ", "NA", "na", "NaN", " nan "]
 EDGE_NUMBERS = ["5e-324", "1.7976931348623157e308", "-0.0", "0.10000000000000001",
                 "-1.2345678901234567e-300", " 7 ", "1_000", "\u00a02\u00a0", "\x1c3"]
@@ -149,7 +181,12 @@ def plain_cell_tokens(draw):
         return draw(st.sampled_from(["nan", " NaN ", "5e-324", "-0.0", " 7 ", "\x1c3", "\u00a02\u00a0"]))
     if bucket < 23:
         return draw(cell_tokens())
+    if bucket < 29:  # float64 ties and near-ties, which _read_long reads again
+        x = draw(st.floats(-1e300, 1e300))
+        return draw(st.sampled_from([lambda x: str(midpoint(x)), near_tie]))(x)
     x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    if bucket < 40:
+        return f"{x:.{draw(st.integers(15, 18))}e}"  # 16-19 significant digits
     return draw(st.sampled_from([repr, "{:.17g}".format]))(x)
 
 
@@ -281,8 +318,8 @@ class TestIngestOracle:
         text, has_header, has_time_column = case
         path = csv_dir / "plain.csv"
         path.write_text(text, encoding="utf-8")
-        _, plain = ingest_both(path, has_header, has_time_column)
-        event("C reader" if plain else "exact parser")
+        _, reader = ingest_which(path, has_header, has_time_column)
+        event(reader)
 
     @pytest.mark.parametrize("bad", ["inf", "-Infinity", "+nan", "1e999"])
     def test_non_finite_reported_before_a_later_unparseable_cell(self, tmp_path, bad):
@@ -410,6 +447,97 @@ class TestPlainReaderTraps:
         monkeypatch.setattr(panel_module, "_read_cells", no_cells)
         assert parse_outcome(ingest_csv, path, True, True) == expected
         assert np.array_equal(np.isnan(Y), np.frombuffer(expected[2], dtype=bool).reshape(T, N))
+
+
+class TestLongDoubleReader:
+    """Files whose first data row has a cell with more than 15 significant digits."""
+
+    LEAD = "1.2345678901234567"  # 17 digits: the long double reader is tried
+
+    @pytest.mark.parametrize("cell", [
+        pytest.param("9007199254740993", id="2**53+1"),  # halfway between two doubles
+        pytest.param(str(midpoint(0.1)), id="midpoint(0.1)"),
+        pytest.param(near_tie(2.0**53), id="near_tie(2**53)"),
+        pytest.param(near_tie(0.1), id="near_tie(0.1)"),
+        pytest.param(near_tie(-3.0e-300), id="near_tie(-3e-300)"),
+    ])
+    def test_ties(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},{cell}\n{cell},2\n")
+        outcome, reader = ingest_which(path)
+        assert reader == LONG
+        assert np.frombuffer(outcome[1], dtype=np.float64)[1] == float(cell)
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    @pytest.mark.parametrize("x", [2.0**53, 0.1, -3.0e-300, 0.0, -1e-310])
+    def test_near_ties_part_from_double_rounding(self, x):
+        """Rounding their long double to double parts from float(), so test_ties and
+        test_subnormals fail without the second read of those cells."""
+        cell = near_tie(x)
+        assert float(np.longdouble(cell)) != float(cell)
+
+    @pytest.mark.parametrize("cell", [
+        "4.9e-324", "2.4703282292062328e-324", "-2.2250738585072011e-308", "1e-400",
+        pytest.param(near_tie(0.0), id="near_tie(0)"),
+        pytest.param(near_tie(-1e-310), id="near_tie(-1e-310)"),
+    ])
+    def test_subnormals(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},{cell}\n{cell},2\n")
+        outcome, reader = ingest_which(path)
+        assert reader == LONG
+        assert np.frombuffer(outcome[1], dtype=np.float64)[1] == float(cell)
+
+    def test_hex_cell_is_a_parse_error(self, tmp_path):
+        """strtold reads 0x1p3 as 8; the long double reader declines the file."""
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},2\n3,0x1p3\n")
+        outcome, reader = ingest_which(path)
+        assert reader == "cells"
+        assert outcome == ("error", f"{path}: cannot parse cell at row 3, column 2: '0x1p3'")
+
+    @pytest.mark.parametrize("token, reader", [("  ", "cells"), (" nan ", "loadtxt")])
+    def test_blank_and_spaced_missing_cells(self, tmp_path, token, reader):
+        """np.fromstring reads a blank cell as 0.0, so a file with whitespace is declined."""
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},{token}\n3,4\n")
+        outcome, took = ingest_which(path)
+        assert took == reader
+        assert np.frombuffer(outcome[2], dtype=bool).tolist() == [False, True, False, False]
+
+    def test_overflow_is_non_finite(self, tmp_path):
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},2\n3,1e999\n")
+        with mock.patch.object(panel_module, "_read_long", wraps=panel_module._read_long) as long_reader:
+            outcome, reader = ingest_which(path)
+        assert long_reader.called is (LONG == "long")  # its inf goes to the cell parser
+        assert reader == "cells"
+        assert outcome == ("error", f"{path}: non-finite value at row 3, column 2")
+
+    @pytest.mark.parametrize("has_time_column", [False, True])
+    @pytest.mark.parametrize("last", ["6,7", "6"])  # with "6" the file still holds 3 x 2 cells
+    def test_extra_cell_in_a_later_row(self, tmp_path, has_time_column, last):
+        label = "t," if has_time_column else ""
+        path = write_csv(tmp_path, f"d,a,b\n{label}{self.LEAD},2\n{label}3,4,5\n{label}{last}\n")
+        outcome, reader = ingest_which(path, has_time_column=has_time_column)
+        assert reader == "cells"
+        assert outcome == ("error", f"{path}: row 3 has 3 columns, expected 2")
+
+    def test_trailing_empty_cell(self, tmp_path):
+        """np.fromstring drops a trailing separator; the empty cell is filled first."""
+        path = write_csv(tmp_path, f"a,b,c\n{self.LEAD},2,\n3,4,5\n")
+        outcome, reader = ingest_which(path)
+        assert reader == LONG
+        assert np.frombuffer(outcome[2], dtype=bool).tolist() == [False, False, True] + [False] * 3
+
+    @pytest.mark.parametrize("lead, reader", [
+        ("1.23456789012345", "loadtxt"),  # 15 significant digits
+        ("-0.001234567890123456", LONG),  # 16; leading zeros do not count
+        ("1234.5678", "loadtxt"),  # %.4f, as short-decimal files such as FRED-MD are written
+        ("1.234567890123456e-05", LONG),
+        ("0.000000000000000001", "loadtxt"),
+    ])
+    def test_digit_rule(self, tmp_path, lead, reader):
+        """Only the first data row decides; the later 17-digit cell does not."""
+        path = write_csv(tmp_path, f"a,b\n{lead},2\n3,{self.LEAD}\n")
+        outcome, took = ingest_which(path)
+        assert took == reader
+        assert outcome[0] == "ok"
 
 
 class TestByteOrderMark:

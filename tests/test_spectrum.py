@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfactors._errors import InvariantError
+from robustfactors._errors import InvariantError, NumericalError
 from robustfactors.kendall import sample_kendall_tau
 from robustfactors.spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
@@ -123,6 +125,14 @@ class TestBuildSpectrum:
             build_spectrum([1.0], N=1, T=10, c=0.01)
         with pytest.raises(ValueError, match="nonempty"):
             build_spectrum([], N=10, T=10, c=0.01)
+
+    @pytest.mark.parametrize("c", [np.inf, 1e308])
+    def test_non_finite_tail_sums_raise(self, c):
+        """c = inf makes every value inf; c = 1e308 overflows only the sums, silently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                build_spectrum(np.linspace(1.0, 0.0, 100), N=100, T=100, c=c)
 
     @settings(max_examples=30, deadline=None)
     @given(
