@@ -14,10 +14,11 @@ import numpy as np
 
 from ._errors import InvariantError, NumericalError
 from .elliptical import RngStream
-from .estimators import estimate_many
+from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
 from .kendall import sample_kendall_tau, verify_kendall_invariants
 from .montecarlo import (
     DIST_CHOICES,
+    ScenarioSpec,
     format_report_table,
     generate_panel,
     make_scenario,
@@ -74,10 +75,10 @@ def _add_input_flags(sub):
 
 
 def _add_method_flags(sub):
-    sub.add_argument("--methods", help="comma list from mker,mktcr,er,gr,tcr (default all)")
-    sub.add_argument("--kmax", type=int, default=8,
-                     help="largest candidate factor count (default 8)")
-    sub.add_argument("--c", type=float, default=0.01, help="regularization constant")
+    sub.add_argument("--methods", help=f"comma list from {','.join(ALL_METHODS)} (default all)")
+    sub.add_argument("--kmax", type=int, default=EstimatorConfig.k_max,
+                     help="largest candidate factor count (default %(default)s)")
+    sub.add_argument("--c", type=float, default=EstimatorConfig.c, help="regularization constant")
 
 
 def _cmd_simulate(args) -> int:
@@ -219,7 +220,8 @@ def _build_parser() -> _Parser:
                      help="driving distribution (scenario A only)")
     sim.add_argument("--N", type=int, help="cross-section size")
     sim.add_argument("--T", type=int, help="series length")
-    sim.add_argument("--reps", type=int, default=200, help="replications (default 200)")
+    sim.add_argument("--reps", type=int, default=ScenarioSpec.reps,
+                     help="replications (default %(default)s)")
     sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sim.add_argument("--snr", type=float, help="factor strength for B3/B5/C3/C5")
     _add_method_flags(sim)

@@ -52,6 +52,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 
@@ -75,7 +77,7 @@ class EllipticalSpec:
         d x q matrix A with A A^T = Σ. For diagonal Σ pass the elementwise
         square root.
     nu : float, optional
-        Degrees of freedom of the multivariate t_ν, > 0 (ν = 1 is the
+        Degrees of freedom of the multivariate t_ν, > 0 and finite (ν = 1 is the
         multivariate Cauchy); None, the default, is the Gaussian.
     """
 
@@ -91,8 +93,8 @@ class EllipticalSpec:
         if mu.ndim != 1 or mu.shape[0] != A.shape[0]:
             raise ValueError("mu length must equal scatter_factor row count")
         if self.nu is not None:
-            if not self.nu > 0:
-                raise ValueError("nu must be > 0, or None for the Gaussian")
+            if not 0 < self.nu < np.inf:
+                raise ValueError("nu must be > 0 and finite, or None for the Gaussian")
             object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "scatter_factor", A)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kendall import sample_kendall_tau
+from .kendall import KendallTauMatrix, sample_kendall_tau
 from .panel import DataPanel, _double_demean
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
@@ -141,7 +141,7 @@ def _check_size(shape: tuple[int, int], configs) -> None:
             raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
 
 
-def _decide(Y: np.ndarray, configs, kendall: np.ndarray | None) -> dict[str, EstimationResult]:
+def _decide(Y, configs, kendall: KendallTauMatrix | None) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
@@ -161,8 +161,8 @@ def _decide(Y: np.ndarray, configs, kendall: np.ndarray | None) -> dict[str, Est
             if path == "covariance":
                 raw_cache[path] = gram_eigenvalues(demeaned)
             else:
-                matrix = sample_kendall_tau(demeaned).matrix if kendall is None else kendall
-                raw_cache[path] = eigenvalues_sym(matrix)
+                kt = sample_kendall_tau(demeaned) if kendall is None else kendall
+                raw_cache[path] = eigenvalues_sym(kt.matrix)
         skey = (path, config.c)
         if skey not in spectra:
             spectra[skey] = build_spectrum(raw_cache[path], N=N, T=T, c=config.c)

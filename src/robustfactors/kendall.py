@@ -255,17 +255,6 @@ class PairWeightBand:
     pair_sq: np.ndarray
     far_rows: np.ndarray
 
-    def covers(self, start: int) -> bool:
-        """Whether the window of rows start, ..., start + window - 1 may use the band.
-
-        It may when each of its rows peaks within 2^_SHARED_RANGE_BITS of the
-        panel's peak. A window with a row further below, such as one across a
-        regime change by many orders of magnitude, is better served by its
-        own rescale and centering: its matrix should come from
-        :func:`sample_kendall_tau`.
-        """
-        return self.far_rows[start + self.window] == self.far_rows[start]
-
 
 def _flat_view(weights: np.ndarray, offset: int, shape, steps) -> np.ndarray:
     """View whose (r, q) entry is entry offset + r steps[0] + q steps[1] of weights' flat storage.
@@ -327,22 +316,31 @@ def pair_weight_band(panel, window: int) -> PairWeightBand:
     )
 
 
-def window_kendall_tau(band: PairWeightBand, start: int) -> KendallTauMatrix:
+def window_kendall_tau(band: PairWeightBand, start: int) -> KendallTauMatrix | None:
     """Kendall's tau matrix of rows start, ..., start + window - 1, from the band.
 
     With W_w the window's block of pair weights and deg_w its row sums, the
     pair sum is Z_w^T (deg_w Z_w - W_w Z_w) plus the window's direct pairs:
     two GEMMs, against the Gram product, masks and division that
-    :func:`sample_kendall_tau` spends on every window. Where
-    :meth:`PairWeightBand.covers` holds, it agrees with
+    :func:`sample_kendall_tau` spends on every window. It agrees with
     :func:`sample_kendall_tau` on the window's rows to rounding: 1e-15 per
     entry in the tests.
+
+    None means the band does not cover the window: some row of it peaks more
+    than 2^_SHARED_RANGE_BITS below the panel's peak. Such a window, for
+    example one across a regime change by many orders of magnitude, needs its
+    own rescale and centering, so its matrix should come from
+    :func:`sample_kendall_tau`. The rule reads row peaks only: rows whose
+    level stays while their spread collapses still count as covered, and the
+    panel-wide centering rounds them at the scale of their level.
     """
     w = band.window
     T = band.Z.shape[0]
     if not 0 <= start <= T - w:
         raise ValueError(f"window start must be in [0, {T - w}], got {start}")
     stop = start + w
+    if band.far_rows[stop] != band.far_rows[start]:
+        return None
     L = 2 * w - 1
     Ww = _flat_view(band.weights, start * L + w - 1, (w, w), (L - 1, 1))  # W_w, no copy
     Zw = band.Z[start:stop]

@@ -76,12 +76,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("r must be >= 0")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        if self.beta < 0 or self.J < 0:
-            raise ValueError("beta and J must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be nonnegative and finite")
+        if self.J < 0:
+            raise ValueError("J must be nonnegative")
         if self.N < 2 or self.T < 2:
             raise ValueError("N and T must be >= 2")
         if self.dist not in DIST_CHOICES:
@@ -90,8 +92,8 @@ class ScenarioSpec:
             raise ValueError("reps must be >= 1")
         if self.scatter_diag is not None:
             d = np.asarray(self.scatter_diag, dtype=np.float64)
-            if d.shape != (self.N + self.r,) or np.any(d <= 0):
-                raise ValueError("scatter_diag must be positive with length N + r")
+            if d.shape != (self.N + self.r,) or not np.all((d > 0) & (d < np.inf)):
+                raise ValueError("scatter_diag must be positive and finite with length N + r")
             object.__setattr__(self, "scatter_diag", tuple(d.tolist()))
 
     @property
@@ -125,7 +127,9 @@ def scenario_catalog() -> dict[str, str]:
     return {name: row[-1] for name, row in _CATALOG.items()}
 
 
-def make_scenario(name: str, N=None, T=None, dist=None, snr=None, reps=200) -> ScenarioSpec:
+def make_scenario(
+    name: str, N=None, T=None, dist=None, snr=None, reps=ScenarioSpec.reps
+) -> ScenarioSpec:
     """Build a catalog scenario by name, with its fixed constants.
 
     A takes dist, N and T; B1/B2/C1/C2 take N and T; B3-B5 fix N = T = 100
@@ -150,8 +154,8 @@ def make_scenario(name: str, N=None, T=None, dist=None, snr=None, reps=200) -> S
         raise ValueError(f"scenario {name} {verb} snr")
     scatter = None
     if spiked is not None:
-        if not snr > 0:
-            raise ValueError("snr must be positive")
+        if not 0 < snr < np.inf:
+            raise ValueError("snr must be finite" if snr > 0 else "snr must be positive")
         scatter = np.ones(N + r)
         scatter[spiked] = snr
     iid = fixed_dist is None
@@ -234,14 +238,14 @@ class MonteCarloReport:
 
 def method_configs(
     methods=None,
-    k_max: int = 8,
-    c: float = 0.01,
-    allow_zero: bool = False,
+    k_max: int = EstimatorConfig.k_max,
+    c: float = EstimatorConfig.c,
+    allow_zero: bool = EstimatorConfig.allow_zero,
 ) -> dict[str, EstimatorConfig]:
     """Normalize a methods argument into named EstimatorConfig entries.
 
     ``methods`` may be None (all five), a comma-separated string or an
-    iterable of method names.
+    iterable of method names. The knobs default to EstimatorConfig's.
     """
     if methods is None:
         names = list(ALL_METHODS)

@@ -279,6 +279,8 @@ def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> Dat
                 raise ValueError(f"{path}: row {lineno} is empty")
             labels.append(record.pop(0))
         if width is None:
+            if not record:  # the first data row would set a width of 0
+                raise ValueError(f"{path}: row {lineno} has no data cell")
             width = len(record)
         elif len(record) != width:
             raise ValueError(

@@ -67,10 +67,8 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
-        # a window the shared weights cannot represent gets sample_kendall_tau in _decide
-        kendall = None
-        if band is not None and band.covers(start):
-            kendall = window_kendall_tau(band, start).matrix
+        # a window the band does not cover (None) gets sample_kendall_tau in _decide
+        kendall = None if band is None else window_kendall_tau(band, start)
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
         rows.append((label, *(res.r_hat for res in results.values())))

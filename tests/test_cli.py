@@ -124,6 +124,20 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "k_max must be >= 1" in proc.stderr
 
+    def test_infinite_snr_rejected(self, capsys):
+        # rejected by make_scenario, before any panel is drawn
+        assert cli.main(["simulate", "--scenario", "B3", "--snr", "inf", "--reps", "1"]) == 1
+        assert capsys.readouterr().err == "error: snr must be finite\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", "A", "--dist", "gaussian", "--N", "30", "--T", "30",
+         "--reps", "1", "--seed", "-3"],
+        ["selfcheck", "--seed", "-1"],
+    ])
+    def test_negative_seed_rejected(self, capsys, command):
+        assert cli.main(command) == 1
+        assert capsys.readouterr().err == "error: master_seed must be nonnegative\n"
+
     def test_unknown_flag(self):
         proc = run_cli("simulate", "--scenario", "A", "--fast")
         assert proc.returncode == 1

@@ -47,6 +47,12 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_master_seed_rejected(self, seed):
+        # at construction, with a message that names the seed, not numpy's at first draw
+        with pytest.raises(ValueError, match="^master_seed must be nonnegative$"):
+            RngStream(seed, 0)
+
     def test_lanes_are_independent(self):
         rng = RngStream(5, 0)
         a = rng.generator(0).standard_normal(100)
@@ -63,6 +69,14 @@ class TestSpecValidation:
         # the t_nu needs nu > 0; nu=None is the Gaussian, not a missing nu
         for nu in (0, 0.0, -1.0, float("nan"), -np.inf):
             with pytest.raises(ValueError, match="nu"):
+                EllipticalSpec(mu=np.zeros(2), scatter_factor=np.eye(2), nu=nu)
+
+    @pytest.mark.parametrize("nu", [np.inf, 1e309])
+    def test_infinite_nu_rejected(self, nu):
+        # rejected when set, not at the first draw with a chi-squared underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^nu must be > 0 and finite"):
                 EllipticalSpec(mu=np.zeros(2), scatter_factor=np.eye(2), nu=nu)
 
 

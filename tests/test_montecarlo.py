@@ -104,6 +104,20 @@ class TestScenarioSpec:
         with pytest.raises(TypeError, match="burn_in"):
             plain_spec(burn_in=10)
 
+    @pytest.mark.parametrize("knob, value, message", [
+        ("theta", np.inf, "theta must be positive and finite"),
+        ("beta", np.inf, "beta must be nonnegative and finite"),
+        ("beta", np.nan, "beta must be nonnegative and finite"),
+        ("scatter_diag", [1.0] * 10 + [np.inf], "scatter_diag must be positive and finite"),
+    ])
+    def test_non_finite_knobs_rejected(self, knob, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            plain_spec(**{knob: value})
+
+    def test_infinite_snr_rejected(self):
+        with pytest.raises(ValueError, match="^snr must be finite$"):
+            make_scenario("B3", snr=np.inf)
+
     def test_label(self):
         assert make_scenario("A", dist="t3", N=50, T=50).label == "A-t3"
         assert make_scenario("B1", N=50, T=50).label == "B1"

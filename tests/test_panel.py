@@ -35,6 +35,8 @@ def reference_ingest_csv(path, has_header=True, has_time_column=False):
                 labels.append(record[0])
                 record = record[1:]
             if width is None:
+                if not record:
+                    raise ValueError(f"{path}: row {lineno} has no data cell")
                 width = len(record)
             elif len(record) != width:
                 raise ValueError(
@@ -367,6 +369,17 @@ class TestPlainReaderTraps:
         path = write_csv(tmp_path, "a,b\n1,2\n\n3,4\n")
         outcome, _ = ingest_both(path)
         assert outcome == ("error", f"{path}: row 3 has 0 columns, expected 2")
+
+    @pytest.mark.parametrize("text, has_time_column", [
+        ("a,b\n\n1,2\n3,4\n", False),  # a blank first data row
+        ("d,a,b\ny\nx,1,2\n", True),  # a label with no data cell
+    ])
+    def test_first_data_row_without_a_data_cell(self, tmp_path, text, has_time_column):
+        """The row with no data cell is named, not the next row for not matching it."""
+        path = write_csv(tmp_path, text)
+        outcome, plain = ingest_both(path, has_time_column=has_time_column)
+        assert not plain
+        assert outcome == ("error", f"{path}: row 2 has no data cell")
 
     @pytest.mark.parametrize("bad", ["+nan", "-NaN", "inf", "1e999"])
     def test_non_finite_spellings(self, tmp_path, bad):

@@ -237,7 +237,8 @@ class TestSharedPairWeights:
         result = rolling_estimate(DataPanel(Y), 40, SHARED_CONFIGS)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 40, SHARED_CONFIGS)
         # every window took the shared band
-        assert all(pair_weight_band(row_demeaned(Y), 40).covers(s) for s in range(81))
+        band = pair_weight_band(row_demeaned(Y), 40)
+        assert all(window_kendall_tau(band, s) is not None for s in range(81))
 
     def test_chunked_calls_match_one_call(self):
         Y = t_factor_panel(3.0, seed=8, T=150, N=20)
@@ -260,6 +261,10 @@ class TestSharedPairWeights:
                 if mode == "double":
                     exact -= exact.mean(axis=1, keepdims=True)
                 kt = window_kendall_tau(band, s)
+                # t_0.3 rows fall 2^20 below the peak: those windows take their own kernel
+                assert (kt is None) == (nu == 0.3)
+                if kt is None:
+                    kt = sample_kendall_tau(V[s : s + 120])
                 assert kt.direct_pairs == 0
                 err = float(np.abs(kt.matrix - enumerate_rows(exact, np.longdouble)[0]).max())
                 assert err <= 1e-15, (mode, s)
@@ -316,12 +321,13 @@ class TestSharedPairWeights:
             for s in range(61):
                 # a window shares the band unless one of its rows peaks more than
                 # 2^20 below the panel's peak
-                assert band.covers(s) == (row_exp[s : s + 30].min() >= row_exp.max() - 20)
-                if not band.covers(s):
+                kt = window_kendall_tau(band, s)
+                assert (kt is not None) == (row_exp[s : s + 30].min() >= row_exp.max() - 20)
+                if kt is None:
                     fallbacks += mode == "double"  # rolling_estimate reads only this band
                     continue
                 ref = sample_kendall_tau(window_inputs(Y, s, 30)[mode])
-                assert window_kendall_tau(band, s).n_pairs == ref.n_pairs == 435
+                assert kt.n_pairs == ref.n_pairs == 435
         assert direct.call_count == fallbacks
 
     def test_covariance_configs_build_no_band(self):
@@ -334,7 +340,8 @@ class TestSharedPairWeights:
     def test_covered_kendall_windows_are_not_demeaned(self):
         Y = t_factor_panel(1.0, seed=37, T=60, N=15)
         configs = method_configs("mker,mktcr")
-        assert all(pair_weight_band(row_demeaned(Y), 25).covers(s) for s in range(36))
+        band = pair_weight_band(row_demeaned(Y), 25)
+        assert all(window_kendall_tau(band, s) is not None for s in range(36))
         expected = per_window_r_hat(Y, 25, configs)
         with mock.patch.object(estimators, "_double_demean", side_effect=AssertionError("demean")):
             result = rolling_estimate(DataPanel(Y), 25, configs)
@@ -440,13 +447,13 @@ class TestDecisionCore:
         with mock.patch.object(rolling, "_decide", record):
             result = rolling_estimate(DataPanel(Y), window, CORE_CONFIGS)
         band = pair_weight_band(row_demeaned(Y), window)
-        covered = [band.covers(s) for s in range(61)]
+        covered = [window_kendall_tau(band, s) is not None for s in range(61)]
         assert any(covered) and not all(covered)
         assert len(decisions) == 61
         for start, (got, row) in enumerate(zip(decisions, result.rows)):
             ref = old_estimate_many(
                 DataPanel(Y[start : start + window]), CORE_CONFIGS,
-                lambda mode: window_kendall_tau(band, start) if band.covers(start) else None,
+                lambda mode: window_kendall_tau(band, start),
             )
             assert row[1:] == tuple(ref[m].r_hat for m in CORE_CONFIGS)
             for m, res in ref.items():

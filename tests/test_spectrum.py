@@ -61,6 +61,15 @@ class TestEigenvaluesSym:
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_solver_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="^eigensolver failed: Eigenvalues did not") as exc:
+            eigenvalues_sym(np.eye(3))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestBuildSpectrum:
     def test_worked_example(self):

@@ -115,6 +115,11 @@ def reference_band(panel, window):
     )
 
 
+def reference_covers(band, start):
+    """The coverage rule of the band's old ``covers`` method."""
+    return band.far_rows[start + band.window] == band.far_rows[start]
+
+
 def reference_window(band, start):
     w = band.window
     stop = start + w
@@ -192,9 +197,13 @@ def test_band_and_windows_match_the_old_loop(label, Y):
         last = T - window
         starts = {0, last // 2, last, *gen.integers(0, last + 1, size=3).tolist()}
         for start in sorted(starts):
-            assert _kendall_bytes(window_kendall_tau(got, start)) == _kendall_bytes(
-                reference_window(want, start)
-            ), (window, start)
+            kt = window_kendall_tau(got, start)
+            # None exactly where the old rule kept the window off the band
+            assert (kt is not None) == reference_covers(want, start), (window, start)
+            if kt is not None:
+                assert _kendall_bytes(kt) == _kendall_bytes(
+                    reference_window(want, start)
+                ), (window, start)
 
 
 def test_the_panels_reach_every_branch():
