@@ -10,6 +10,7 @@ allowed, via the mock eigenvalue).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,21 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
+        _check_integers(self, "k_max")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
+
+
+def _check_integers(settings, *names: str) -> None:
+    """Raise ValueError naming the first of the settings that operator.index refuses."""
+    for name in names:
+        value = getattr(settings, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity

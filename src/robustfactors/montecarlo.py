@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
-from .estimators import ALL_METHODS, EstimatorConfig, _check_size, _decide
+from .estimators import ALL_METHODS, EstimatorConfig, _check_integers, _check_size, _decide
 from .panel import DataPanel
 
 __all__ = [
@@ -74,6 +74,7 @@ class ScenarioSpec:
     scatter_diag: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_integers(self, "r", "J", "N", "T", "reps")
         if self.r < 0:
             raise ValueError("r must be >= 0")
         if not 0 < self.theta < np.inf:

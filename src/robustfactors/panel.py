@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ _X87_LONG_DOUBLE = (
 )
 # The biased long-double exponent of the least normal double, 2**-1022.
 _LONG_DOUBLE_MIN_NORMAL_DOUBLE = 16383 - 1022
-# Data lines per np.fromstring call; one joined chunk is live at a time.
+# Data lines per np.fromstring call; one joined chunk per thread is live at a time.
 _CHUNK_ROWS = 64
 
 
@@ -142,9 +143,12 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     has more than 15 significant digits, np.fromstring reads the cells as x87
     long doubles, which are rounded to doubles, and the few cells where that
     rounding can part from float() are read again; on such cells this is
-    faster than np.loadtxt, which reads every other plain file. Every other
-    file is read cell by cell; only that parser raises on a cell, and all
-    readers give the same value bytes, mask, labels and messages.
+    faster than np.loadtxt, which reads every other plain file. Past 64 data
+    lines that parse is shared between the calling thread and one helper
+    thread, since glibc's strtold runs without the GIL; the bytes are those
+    of one thread, and no thread count can be set. Every other file is read
+    cell by cell; only that parser raises on a cell, and all readers give
+    the same value bytes, mask, labels and messages.
     """
     with open(path, "rb") as fh:
         try:
@@ -230,6 +234,14 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     reads a blank cell as 0, so a chunk with whitespace or an "x" is
     declined, as is any line whose comma count differs from the first's; it
     raises on any other cell that float() rejects (older numpy warns instead).
+
+    The chunks are shared in turn between the calling thread and one helper
+    thread, each of which writes only its own rows: np.fromstring runs
+    strtold without holding the GIL, so the two parse at once. Each cell is
+    read by the same calls on either thread, so the bytes do not depend on
+    which thread read it, and the split is fixed: nothing can be set. A file
+    of one chunk, or one where no thread can be started, is read on the
+    calling thread alone. An exception in the helper is raised here.
     """
     commas = lines[0].count(",")
     if any(line.count(",") != commas for line in lines):
@@ -237,24 +249,58 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     width = commas + 1
     values = np.empty((len(lines), width))
     redo = np.empty((len(lines), width), dtype=bool)
-    with np.errstate(over="ignore"), warnings.catch_warnings():
+    starts = range(0, len(lines), _CHUNK_ROWS)
+    stopped = []  # None when a chunk declines, or the helper's exception; both threads then stop
+
+    def read(chunk_starts):
+        with np.errstate(over="ignore"):  # numpy's error state is per thread
+            for start in chunk_starts:
+                if stopped:
+                    return
+                stop = min(start + _CHUNK_ROWS, len(lines))
+                chunk = ",".join(lines[start:stop])
+                if not chunk.isascii() or any(ch in chunk for ch in " \t\v\fxX"):
+                    stopped.append(None)
+                    return
+                try:
+                    wide = np.fromstring(chunk, dtype=np.longdouble, sep=",")
+                except (ValueError, DeprecationWarning):
+                    stopped.append(None)
+                    return
+                del chunk  # before the next join
+                words = wide.view(np.uint64).reshape(stop - start, width, 2)
+                significand, exponent = words[..., 0], words[..., 1] & 0x7FFF  # drops the sign bit
+                redo[start:stop] = ((significand & 0x7FF) == 0x400) | (
+                    (exponent < _LONG_DOUBLE_MIN_NORMAL_DOUBLE) & (significand != 0)
+                )
+                values[start:stop] = wide.reshape(stop - start, width)  # rounds; 1e999 becomes inf
+
+    def help_read():
+        try:
+            read(starts[1::2])
+        except BaseException as exc:  # threading would drop it and leave rows unfilled
+            stopped.append(exc)
+
+    # The filters are process-wide, so they are set once, here, for both threads.
+    with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # older numpy truncates at bad data
-        for start in range(0, len(lines), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(lines))
-            chunk = ",".join(lines[start:stop])
-            if not chunk.isascii() or any(ch in chunk for ch in " \t\v\fxX"):
-                return None
+        helper = None
+        if len(starts) > 1:
+            helper = threading.Thread(target=help_read)
             try:
-                wide = np.fromstring(chunk, dtype=np.longdouble, sep=",")
-            except (ValueError, DeprecationWarning):
-                return None
-            del chunk  # before the next join
-            words = wide.view(np.uint64).reshape(stop - start, width, 2)
-            significand, exponent = words[..., 0], words[..., 1] & 0x7FFF  # drops the sign bit
-            redo[start:stop] = ((significand & 0x7FF) == 0x400) | (
-                (exponent < _LONG_DOUBLE_MIN_NORMAL_DOUBLE) & (significand != 0)
-            )
-            values[start:stop] = wide.reshape(stop - start, width)  # rounds; 1e999 becomes inf
+                helper.start()
+            except RuntimeError:  # no thread to be had
+                helper = None
+        try:
+            read(starts if helper is None else starts[::2])
+        finally:
+            if helper is not None:
+                helper.join()
+    for exc in stopped:
+        if exc is not None:
+            raise exc
+    if stopped:
+        return None
     row = -1
     for r, c in zip(*np.nonzero(redo)):
         if r != row:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ class TestConfig:
         # every estimate double-demeans; there is no demeaning mode to pick
         with pytest.raises(TypeError, match="demean"):
             EstimatorConfig(method="mker", demean="none")
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", None])
+    def test_non_integer_k_max_rejected(self, k_max):
+        """Rejected at construction, not later as a slice index inside estimate."""
+        with pytest.raises(ValueError, match=f"^k_max must be an integer, got {re.escape(repr(k_max))}$"):
+            EstimatorConfig(method="mker", k_max=k_max)
+        assert EstimatorConfig(method="mker", k_max=np.int64(3)).k_max == 3
 
     @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
     def test_non_finite_c_rejected(self, c):

@@ -114,6 +114,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{message}"):
             plain_spec(**{knob: value})
 
+    @pytest.mark.parametrize("knob", ["N", "T", "r", "J", "reps"])
+    def test_non_integer_sizes_rejected(self, knob):
+        """Rejected at construction, not later inside numpy."""
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer, got 2.5$"):
+            plain_spec(**{knob: 2.5})
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer, got '3'$"):
+            plain_spec(**{knob: "3"})
+        assert getattr(plain_spec(**{knob: np.int64(3)}), knob) == 3
+
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError, match="^snr must be finite$"):
             make_scenario("B3", snr=np.inf)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import decimal
 import math
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -551,6 +553,110 @@ class TestLongDoubleReader:
         outcome, took = ingest_which(path)
         assert took == reader
         assert outcome[0] == "ok"
+
+    # Data rows of a file of more than three chunks: four full chunks and a
+    # partial one. The calling thread reads chunks 0, 2 and 4, the helper 1 and 3.
+    CHUNK = panel_module._CHUNK_ROWS
+    ROWS = 4 * CHUNK + 17
+    PLACES = {"first chunk": 5, "helper chunk": CHUNK + 5, "last partial chunk": 4 * CHUNK + 9}
+
+    def chunked_file(self, tmp_path, row=None, cell=None, rows=ROWS):
+        """A dated plain file of repr cells, the last column starting late, with
+        cell in data row `row`, column 2."""
+        rng = np.random.default_rng(3)
+        lines = ["date,a,b,c,d"]
+        for t in range(rows):
+            cells = [repr(float(x)) for x in rng.standard_normal(4)]
+            if t < 3:
+                cells[3] = ""
+            if t == row:
+                cells[1] = cell
+            lines.append(f"t{t}," + ",".join(cells))
+        return write_csv(tmp_path, "\n".join(lines) + "\n")
+
+    def assert_cells_agree(self, path, outcome):
+        """ingest_csv's outcome is _read_cells' own (ingest_both checks the oracle)."""
+        def cells(path, has_header, has_time_column):
+            text = path.read_bytes().decode("utf-8-sig")
+            return panel_module._read_cells(text, path, has_header, has_time_column)
+
+        assert outcome == parse_outcome(cells, path, True, True)
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("cell, reader, error", [
+        pytest.param("9007199254740993", LONG, None, id="tie"),
+        pytest.param(near_tie(0.1), LONG, None, id="near_tie(0.1)"),
+        pytest.param(near_tie(-1e-310), LONG, None, id="subnormal"),
+        pytest.param("1e999", "cells", "non-finite value at row {row}, column 2", id="1e999"),
+        pytest.param(" 7 ", "loadtxt", None, id="whitespace"),
+        pytest.param("0x1p3", "cells", "cannot parse cell at row {row}, column 2: '0x1p3'", id="hex"),
+        pytest.param("2,5", "cells", "row {row} has 5 columns, expected 4", id="extra comma"),
+    ])
+    def test_cell_in_each_chunk(self, tmp_path, place, cell, reader, error):
+        row = self.PLACES[place]
+        path = self.chunked_file(tmp_path, row, cell)
+        outcome, took = ingest_which(path, has_time_column=True)
+        assert took == reader
+        self.assert_cells_agree(path, outcome)
+        if error is None:
+            assert outcome[0] == "ok"
+            assert np.frombuffer(outcome[1], dtype=np.float64)[4 * row + 1] == float(cell)
+            assert outcome[4] == [f"t{t}" for t in range(self.ROWS)]
+        else:
+            assert outcome == ("error", f"{path}: " + error.format(row=row + 2))
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    @pytest.mark.parametrize("rows, helpers", [(CHUNK, 0), (CHUNK + 1, 1), (ROWS, 1)])
+    def test_one_helper_thread_past_one_chunk(self, tmp_path, rows, helpers):
+        path = self.chunked_file(tmp_path, rows=rows)
+        with mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+            outcome, reader = ingest_which(path, has_time_column=True)
+        assert reader == "long"
+        assert thread.call_count == helpers
+        self.assert_cells_agree(path, outcome)
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    def test_no_thread_to_be_had(self, tmp_path):
+        """The calling thread reads every chunk when the helper cannot start."""
+        path = self.chunked_file(tmp_path, self.PLACES["helper chunk"], "9007199254740993")
+        fault = RuntimeError("can't start new thread")
+        with mock.patch.object(threading.Thread, "start", side_effect=fault) as start:
+            outcome, reader = ingest_which(path, has_time_column=True)
+        assert start.called
+        assert reader == "long"
+        self.assert_cells_agree(path, outcome)
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_helper_exception_is_raised_by_the_caller(self, tmp_path):
+        path = self.chunked_file(tmp_path)
+        second_chunk = path.read_text().split("\n")[1 + self.CHUNK].partition(",")[2]
+        fromstring = np.fromstring
+        readers = set()
+
+        def faulty(text, *args, **kwargs):
+            if text.startswith(second_chunk):
+                readers.add(threading.current_thread())
+                raise RuntimeError("fault in the second chunk")
+            return fromstring(text, *args, **kwargs)
+
+        with mock.patch.object(np, "fromstring", side_effect=faulty):
+            with pytest.raises(RuntimeError, match="^fault in the second chunk$"):
+                ingest_csv(path, has_time_column=True)
+        assert readers and threading.main_thread() not in readers
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_overflow_in_a_helper_chunk_warns_on_no_thread(self, tmp_path):
+        """numpy's error state is per thread, so the helper ignores the overflow itself."""
+        row = self.PLACES["helper chunk"]
+        path = self.chunked_file(tmp_path, row, "1e999")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(panel_module, "_read_long", wraps=panel_module._read_long) as long_reader:
+                outcome, reader = ingest_which(path, has_time_column=True)
+        assert long_reader.called is (LONG == "long")
+        assert reader == "cells"
+        assert outcome == ("error", f"{path}: non-finite value at row {row + 2}, column 2")
 
 
 class TestByteOrderMark:
