@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, estimate, rolling, catalog, selfcheck.
+"""Command-line interface: simulate, estimate, rolling, catalog.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 3 internal invariant violation. Progress goes to stderr, results to stdout.
@@ -10,26 +10,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from ._errors import InvariantError, NumericalError
-from .elliptical import RngStream
 from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
-from .kendall import sample_kendall_tau, verify_kendall_invariants
 from .montecarlo import (
     DIST_CHOICES,
     ScenarioSpec,
     format_report_table,
-    generate_panel,
     make_scenario,
     method_configs,
     run_scenario,
     scenario_catalog,
     write_report_csv,
 )
-from .panel import DataPanel, double_demean, impute_column_mean, ingest_csv
+from .panel import DataPanel, impute_column_mean, ingest_csv
 from .rolling import rolling_estimate, write_rolling_csv
-from .spectrum import build_spectrum, eigenvalues_sym
 
 __all__ = ["main"]
 
@@ -142,73 +136,6 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_selfcheck(args) -> int:
-    rng = RngStream(args.seed, 0)
-    checks = 0
-
-    def ok(label: str):
-        nonlocal checks
-        checks += 1
-        print(f"ok: {label}")
-
-    spec = make_scenario("A", dist="gaussian", N=30, T=40, reps=1)
-    panel = generate_panel(spec, 0, rng)
-    Y = double_demean(panel).values
-
-    kt = sample_kendall_tau(Y)
-    verify_kendall_invariants(kt)
-    ok("kendall matrix invariants (symmetry, unit trace, psd)")
-
-    small = Y[:12, :5]
-    ref = np.zeros((5, 5))
-    for i in range(12):
-        for j in range(i + 1, 12):
-            d = small[i] - small[j]
-            ref += np.outer(d, d) / (d @ d)
-    ref /= 12 * 11 / 2
-    got = sample_kendall_tau(small).matrix
-    if np.max(np.abs(got - ref)) > 1e-12:
-        raise InvariantError("pairwise kernel disagrees with direct enumeration")
-    ok("kendall kernel matches direct enumeration")
-
-    if not np.array_equal(kt.matrix, sample_kendall_tau(Y).matrix):
-        raise InvariantError("repeated calls changed the kendall matrix")
-    ok("repeated calls are bit-identical")
-
-    raw = eigenvalues_sym(kt.matrix)
-    vals, vecs = np.linalg.eigh(kt.matrix)
-    err = float(np.linalg.norm((vecs * vals) @ vecs.T - kt.matrix))
-    if err > 1e-8 * float(np.linalg.norm(kt.matrix)):
-        raise InvariantError(f"eigendecomposition reconstruction error {err:.3e} too large")
-    if np.max(np.abs(raw - vals[::-1])) > 1e-12:
-        raise InvariantError("eigenvalues_sym disagrees with the full eigendecomposition")
-    ok("eigenvalues match a full eigendecomposition that reconstructs the matrix")
-
-    spec60 = build_spectrum(raw, panel.shape[1], panel.shape[0], c=0.05)
-    V = spec60.tail_sums
-    for j in range(spec60.size - 1):
-        if abs(V[j] - V[j + 1] - spec60.regularized[j]) > 1e-12:
-            raise InvariantError("tail sums fail the telescoping identity")
-    ok("spectrum tail sums telescope")
-
-    hits = 0
-    for rep in range(3):
-        p = generate_panel(make_scenario("A", dist="gaussian", N=60, T=60, reps=1), rep, rng)
-        res = estimate_many(p, method_configs("mker"))
-        hits += res["mker"].r_hat == 3
-    if hits != 3:
-        raise NumericalError(f"factor recovery failed ({hits}/3 runs found r=3)")
-    ok("recovers r=3 on easy synthetic panels")
-
-    dd = double_demean(panel)
-    if np.max(np.abs(double_demean(dd).values - dd.values)) > 1e-10:
-        raise InvariantError("double demeaning is not idempotent")
-    ok("double demeaning is idempotent")
-
-    print(f"selfcheck passed ({checks} checks)")
-    return 0
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="robustfactors",
                      description="Factor-count estimation that stays reliable under heavy tails.")
@@ -245,10 +172,6 @@ def _build_parser() -> _Parser:
 
     cat = sub.add_parser("catalog", help="list the simulation scenarios")
     cat.set_defaults(func=_cmd_catalog)
-
-    check = sub.add_parser("selfcheck", help="run fast end-to-end sanity checks")
-    check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(func=_cmd_selfcheck)
 
     return parser
 

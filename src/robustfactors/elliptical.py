@@ -1,13 +1,11 @@
 """Seeded samplers for elliptical distributions.
 
 One sampler covers the multivariate Gaussian and the multivariate t for any
-positive degrees of freedom ν (ν = 1 is the multivariate Cauchy); a second
-draws from the generic stochastic representation μ + ξAU with U uniform on the
-unit sphere.
+positive degrees of freedom ν (ν = 1 is the multivariate Cauchy).
 
 Determinism contract
 --------------------
-:class:`RngStream` is a value, not a stateful object. Each sampler derives
+:class:`RngStream` is a value, not a stateful object. The sampler derives
 fresh counter-based generators (numpy Philox) from
 ``SeedSequence(entropy=master_seed, spawn_key=(stream_index, lane))`` and is a
 pure function of its arguments: the same stream value always yields the same
@@ -15,7 +13,7 @@ sample. Normal variates use ``Generator.standard_normal`` (ziggurat); this
 choice is fixed because bit-level reproducibility is part of the contract.
 
 Lane layout: lane 0 carries directional/normal draws, lane 1 carries radial
-draws (chi-square mixing variables, ξ). The lane-0 draws are the same whatever
+draws (chi-square mixing variables). The lane-0 draws are the same whatever
 ν is, so samples driven by the same stream share directional components:
 dividing out the radial parts recovers identical unit vectors.
 """
@@ -32,7 +30,6 @@ __all__ = [
     "EllipticalSpec",
     "RngStream",
     "sample_elliptical",
-    "sample_elliptical_generic",
 ]
 
 _LANE_DIRECTIONAL = 0
@@ -137,40 +134,3 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
                                  f"draws with nu = {spec.nu} underflowed to 0 or near it")
         g *= scale[:, None]
     return spec.mu + g @ A.T
-
-
-def sample_elliptical_generic(mu, A, xi_sampler, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n rows μ + ξ A u with u uniform on the q-sphere.
-
-    Parameters
-    ----------
-    mu : array_like
-        Location d-vector; checked as :class:`EllipticalSpec` checks it.
-    A : array_like
-        d x q scatter factor.
-    xi_sampler : callable
-        Called as ``xi_sampler(gen, n)`` with a numpy Generator from the
-        radial lane; must return n positive scalars.
-    n : int
-        Number of rows.
-    rng : RngStream
-        Stream value.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] < 1:
-        raise ValueError("A must be d x q with q >= 1")
-    mu = EllipticalSpec(mu, A).mu
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # P(g = 0) is zero; guard anyway so a pathological draw fails loudly.
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate directional draw")
-    u = g / norms
-    xi = np.asarray(xi_sampler(rng.generator(_LANE_RADIAL), n), dtype=np.float64)
-    if xi.shape != (n,):
-        raise ValueError("xi_sampler must return n scalars")
-    if np.any(xi <= 0.0):
-        raise ValueError("xi_sampler must yield positive values")
-    return mu + (u * xi[:, None]) @ A.T

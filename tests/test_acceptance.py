@@ -16,15 +16,12 @@ import pytest
 
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, KENDALL_METHODS, EstimatorConfig, estimate_many
-from robustfactors.kendall import (
-    han_lower_bound,
-    population_kendall_eigenvalues_oracle,
-    sample_kendall_tau,
-    verify_kendall_invariants,
-)
+from robustfactors.kendall import sample_kendall_tau, verify_kendall_invariants
 from robustfactors.montecarlo import generate_panel, make_scenario, method_configs, run_scenario
 from robustfactors.panel import DataPanel, double_demean, ingest_csv
 from robustfactors.spectrum import eigenvalues_sym
+
+from population_oracle import han_lower_bound, population_kendall_eigenvalues_oracle
 
 SEED = 20260819
 REPS = 200

@@ -4,13 +4,13 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustfactors import cli
+from robustfactors._errors import InvariantError
 
 
 def run_cli(*args):
@@ -132,7 +132,6 @@ class TestSimulate:
     @pytest.mark.parametrize("command", [
         ["simulate", "--scenario", "A", "--dist", "gaussian", "--N", "30", "--T", "30",
          "--reps", "1", "--seed", "-3"],
-        ["selfcheck", "--seed", "-1"],
     ])
     def test_negative_seed_rejected(self, capsys, command):
         assert cli.main(command) == 1
@@ -318,29 +317,13 @@ class TestCatalogAndSelfcheck:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "catalog.txt").read_text()
 
-    def test_selfcheck_passes(self):
-        proc = run_cli("selfcheck")
-        assert proc.returncode == 0
-        assert proc.stdout.count("ok:") == 7
-        assert "ok: eigenvalues match a full eigendecomposition" in proc.stdout
-        assert "selfcheck passed (7 checks)" in proc.stdout
+    def test_corrupted_matrix_trips_invariant_gate(self, factor_csv, monkeypatch, capsys):
+        # what verify_kendall_invariants raises on a matrix with one entry off by 1e-3
+        def corrupted(panel, configs):
+            raise InvariantError("kendall matrix asymmetry 1.000e-03 exceeds 1e-12")
 
-    def test_selfcheck_deterministic(self):
-        a = run_cli("selfcheck", "--seed", "3")
-        b = run_cli("selfcheck", "--seed", "3")
-        assert a.stdout == b.stdout
-
-    def test_corrupted_matrix_trips_invariant_gate(self, monkeypatch, capsys):
-        real = cli.sample_kendall_tau
-
-        def corrupted(Y):
-            kt = real(Y)
-            matrix = kt.matrix.copy()
-            matrix[0, 1] += 1e-3
-            return replace(kt, matrix=matrix)
-
-        monkeypatch.setattr(cli, "sample_kendall_tau", corrupted)
-        assert cli.main(["selfcheck"]) == 3
+        monkeypatch.setattr(cli, "estimate_many", corrupted)
+        assert cli.main(["estimate", "--input", factor_csv]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
 
@@ -350,13 +333,15 @@ class TestParser:
         assert proc.returncode == 1
 
     def test_unknown_command(self):
-        proc = run_cli("train")
-        assert proc.returncode == 1
+        for cmd in ("train", "selfcheck"):
+            proc = run_cli(cmd)
+            assert proc.returncode == 1, cmd
+            assert "invalid choice" in proc.stderr, cmd
 
     def test_top_level_help(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
-        for cmd in ("simulate", "estimate", "rolling", "catalog", "selfcheck"):
+        for cmd in ("simulate", "estimate", "rolling", "catalog"):
             assert cmd in proc.stdout
 
     @pytest.mark.parametrize(

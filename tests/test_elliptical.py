@@ -7,12 +7,7 @@ import pytest
 from scipy import stats
 
 from robustfactors._errors import NumericalError
-from robustfactors.elliptical import (
-    EllipticalSpec,
-    RngStream,
-    sample_elliptical,
-    sample_elliptical_generic,
-)
+from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 
 
 def gauss_spec(d, mu=None, A=None):
@@ -150,56 +145,3 @@ class TestStudentT:
                 sample_elliptical(t_spec(3, 0.02), 100_000, RngStream(1))
             X = sample_elliptical(t_spec(3, 0.05), 100_000, RngStream(1))
         assert np.isfinite(X).all()
-
-
-class TestGenericSampler:
-    def test_unit_radius_lands_on_sphere(self):
-        X = sample_elliptical_generic(
-            np.zeros(3), np.eye(3), lambda gen, n: np.ones(n), 500, RngStream(47)
-        )
-        np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
-
-    def test_chi_radius_recovers_gaussian_marginal(self):
-        q = 4
-        X = sample_elliptical_generic(
-            np.zeros(q),
-            np.eye(q),
-            lambda gen, n: np.sqrt(gen.chisquare(q, size=n)),
-            30000,
-            RngStream(53),
-        )
-        _, p = stats.kstest(X[:, 0], "norm")
-        assert p > 0.001
-
-    def test_shrinking_radius_shrinks_sample(self):
-        small = sample_elliptical_generic(
-            np.zeros(2), np.eye(2), lambda gen, n: np.full(n, 1e-6), 100, RngStream(59)
-        )
-        assert np.abs(small).max() < 1e-5
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError, match="positive"):
-            sample_elliptical_generic(
-                np.zeros(2), np.eye(2), lambda gen, n: np.zeros(n), 10, RngStream(61)
-            )
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="n scalars"):
-            sample_elliptical_generic(
-                np.zeros(2), np.eye(2), lambda gen, n: np.ones((n, 2)), 10, RngStream(61)
-            )
-
-    def test_rejects_mismatched_location(self):
-        # without the check a one-element mu would shift every coordinate by 5
-        for mu in (np.array([5.0]), np.zeros((1, 3))):
-            with pytest.raises(ValueError, match="mu length"):
-                sample_elliptical_generic(
-                    mu, np.eye(3), lambda gen, n: np.ones(n), 4, RngStream(61)
-                )
-
-    def test_location_applied(self):
-        mu = np.array([10.0, -10.0])
-        X = sample_elliptical_generic(
-            mu, 0.01 * np.eye(2), lambda gen, n: np.ones(n), 50, RngStream(67)
-        )
-        assert np.abs(X - mu).max() < 0.02

@@ -14,15 +14,12 @@ from scipy import integrate
 from robustfactors._errors import InvariantError
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import estimate_many
-from robustfactors.kendall import (
-    han_lower_bound,
-    population_kendall_eigenvalues_oracle,
-    sample_kendall_tau,
-    verify_kendall_invariants,
-)
+from robustfactors.kendall import sample_kendall_tau, verify_kendall_invariants
 from robustfactors.montecarlo import method_configs
 from robustfactors.panel import DataPanel
 from robustfactors.spectrum import eigenvalues_sym
+
+from population_oracle import han_lower_bound, population_kendall_eigenvalues_oracle
 
 
 def brute_force(Y: np.ndarray):

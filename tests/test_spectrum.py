@@ -31,7 +31,8 @@ class TestEigenvaluesSym:
 
     def test_symmetric_input_matches_the_symmetrized_solve(self, rng):
         # An exactly symmetric matrix goes to eigvalsh as it is; the bytes are
-        # those of the symmetrized copy, and of a full decomposition to 1e-12.
+        # those of the symmetrized copy, and of a full decomposition to 1e-12;
+        # that decomposition reconstructs the matrix to 1e-12 in Frobenius norm.
         Y = rng.standard_t(1.0, size=(60, 12))
         matrices = [sample_kendall_tau(Y).matrix, Y.T @ Y, Y @ Y.T, rng.standard_normal((6, 6))]
         matrices[-1] = matrices[-1] + matrices[-1].T
@@ -40,8 +41,9 @@ class TestEigenvaluesSym:
             got = eigenvalues_sym(A)
             ref = np.linalg.eigvalsh(0.5 * (A + A.T))[::-1]
             assert got.tobytes() == ref.tobytes()
-            full = np.linalg.eigh(A)[0][::-1]
-            np.testing.assert_allclose(got, full, atol=1e-12 * np.abs(full).max())
+            w, V = np.linalg.eigh(A)
+            np.testing.assert_allclose(got, w[::-1], atol=1e-12 * np.abs(w).max())
+            assert np.linalg.norm((V * w) @ V.T - A) <= 1e-12 * np.linalg.norm(A)
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
