@@ -1,6 +1,6 @@
 """Seeded samplers for elliptical distributions.
 
-One sampler covers the multivariate Gaussian and the multivariate t for any
+One sampler draws centered multivariate Gaussian and t samples for any
 positive degrees of freedom ν (ν = 1 is the multivariate Cauchy).
 
 Determinism contract
@@ -64,12 +64,10 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class EllipticalSpec:
-    """Location, scatter factor and radial law of an elliptical distribution.
+    """Scatter factor and radial law of a centered elliptical distribution.
 
     Parameters
     ----------
-    mu : np.ndarray
-        Location d-vector.
     scatter_factor : np.ndarray
         d x q matrix A with A A^T = Σ. For diagonal Σ pass the elementwise
         square root.
@@ -78,38 +76,33 @@ class EllipticalSpec:
         multivariate Cauchy); None, the default, is the Gaussian.
     """
 
-    mu: np.ndarray
     scatter_factor: np.ndarray
     nu: float | None = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
         A = np.asarray(self.scatter_factor, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("scatter_factor must be a d x q matrix")
-        if mu.ndim != 1 or mu.shape[0] != A.shape[0]:
-            raise ValueError("mu length must equal scatter_factor row count")
         if self.nu is not None:
             if not 0 < self.nu < np.inf:
                 raise ValueError("nu must be > 0 and finite, or None for the Gaussian")
             object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "scatter_factor", A)
 
 
 def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. rows μ + A g, scaled by sqrt(ν/w) when ``spec.nu`` is set.
+    """Draw n i.i.d. rows A g, scaled by sqrt(ν/w) when ``spec.nu`` is set.
 
     g is standard normal in q dimensions (the directional lane) and w is
     chi-squared with ν degrees of freedom (the radial lane), independent. With
-    ``nu=None`` the rows are Gaussian N(μ, A A^T); with ν > 0 they are exactly
-    multivariate t_ν(μ, A A^T), and ν = 1 is the multivariate Cauchy. A draw
+    ``nu=None`` the rows are Gaussian N(0, A A^T); with ν > 0 they are exactly
+    multivariate t_ν(0, A A^T), and ν = 1 is the multivariate Cauchy. A draw
     of w that underflows (small ν) raises NumericalError, not an inf row.
 
     Parameters
     ----------
     spec : EllipticalSpec
-        Location, scatter factor and degrees of freedom.
+        Scatter factor and degrees of freedom.
     n : int
         Number of rows, >= 1.
     rng : RngStream
@@ -133,4 +126,4 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
             raise NumericalError(f"t sampler produced non-finite output: {bad} chi-squared "
                                  f"draws with nu = {spec.nu} underflowed to 0 or near it")
         g *= scale[:, None]
-    return spec.mu + g @ A.T
+    return g @ A.T

@@ -98,15 +98,9 @@ def _evaluate(spec: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
     """The criterion at j is terms[j] / terms[j + 1] for j = j_start..k_max, where
     terms[j] is lambda_j (mker, er), log1p(lambda_j / V_{j-1}) (mktcr, tcr) or
     log1p(lambda_j / V_j) (gr), with lambda_0 the mock eigenvalue and
-    V_{-1} = V_0 + lambda_0."""
-    L = spec.size
+    V_{-1} = V_0 + lambda_0. The spectrum reaches V_{k_max+1}, since min(N, T) >=
+    k_max + 2 has passed :func:`_check_size`."""
     method = config.method
-    # gr reads V_{k_max+1}; the others stop at V_{k_max} / lambda_{k_max+1}
-    limit = L - 2 if method == "gr" else L - 1
-    if config.k_max > limit:
-        raise ValueError(
-            f"k_max = {config.k_max} too large for spectrum of length {L} (method {method})"
-        )
     j_start = 0 if config.allow_zero else 1
     stop = config.k_max + 2
     lam = np.concatenate(([spec.mock_zero], spec.regularized[: stop - 1]))

@@ -54,48 +54,40 @@ def neighbor_half_width(N: int) -> int:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """All knobs of one simulation scenario.
+    """One catalog scenario and the knobs it takes.
 
-    scatter_diag, when given, is the diagonal of the (F_t, v_t) scatter
-    matrix, stored as a tuple of floats so that specs compare and hash by
-    value; None means the identity.
+    The design's constants (r, theta, the spiked factor and the error family)
+    come from the catalog row of ``name``. snr, the scatter of the spiked
+    factor, is required by B3, B5, C3 and C5 and taken by no other scenario.
+    :func:`make_scenario` also fills in the dist, N and T a scenario fixes.
     """
 
     name: str
-    r: int
-    theta: float
-    rho: float
-    beta: float
-    J: int
     dist: str
     N: int
     T: int
     reps: int = 200
-    scatter_diag: tuple[float, ...] | None = None
+    snr: float | None = None
 
     def __post_init__(self):
-        _check_integers(self, "r", "J", "N", "T", "reps")
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if not 0 < self.theta < np.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 0 <= self.rho < 1:
-            raise ValueError("rho must lie in [0, 1)")
-        if not 0 <= self.beta < np.inf:
-            raise ValueError("beta must be nonnegative and finite")
-        if self.J < 0:
-            raise ValueError("J must be nonnegative")
+        spiked = _catalog_row(self.name)[4]
+        if (spiked is None) != (self.snr is None):
+            verb = "does not take" if spiked is None else "requires"
+            raise ValueError(f"scenario {self.name} {verb} snr")
+        if spiked is not None and not 0 < self.snr < np.inf:
+            raise ValueError("snr must be finite" if self.snr > 0 else "snr must be positive")
+        _check_integers(self, "N", "T", "reps")
         if self.N < 2 or self.T < 2:
             raise ValueError("N and T must be >= 2")
         if self.dist not in DIST_CHOICES:
             raise ValueError(f"dist must be one of {DIST_CHOICES}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.scatter_diag is not None:
-            d = np.asarray(self.scatter_diag, dtype=np.float64)
-            if d.shape != (self.N + self.r,) or not np.all((d > 0) & (d < np.inf)):
-                raise ValueError("scatter_diag must be positive and finite with length N + r")
-            object.__setattr__(self, "scatter_diag", tuple(d.tolist()))
+
+    @property
+    def r(self) -> int:
+        """The true factor number, from the catalog row."""
+        return _CATALOG[self.name][2]
 
     @property
     def label(self) -> str:
@@ -123,6 +115,12 @@ _CATALOG = {
 }
 
 
+def _catalog_row(name: str) -> tuple:
+    if name not in _CATALOG:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(_CATALOG)}")
+    return _CATALOG[name]
+
+
 def scenario_catalog() -> dict[str, str]:
     """The one-line description of each catalog scenario, by name."""
     return {name: row[-1] for name, row in _CATALOG.items()}
@@ -131,15 +129,13 @@ def scenario_catalog() -> dict[str, str]:
 def make_scenario(
     name: str, N=None, T=None, dist=None, snr=None, reps=ScenarioSpec.reps
 ) -> ScenarioSpec:
-    """Build a catalog scenario by name, with its fixed constants.
+    """Build a catalog scenario by name.
 
     A takes dist, N and T; B1/B2/C1/C2 take N and T; B3-B5 fix N = T = 100
     and C3-C5 fix N = T = 150. B3/B5/C3/C5 require snr, the scatter of their
     spiked factor. Every scenario takes reps; k_max is set per estimator config.
     """
-    if name not in _CATALOG:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(_CATALOG)}")
-    fixed_dist, theta, r, size, spiked, _ = _CATALOG[name]
+    fixed_dist, _, _, size, _, _ = _catalog_row(name)
     if fixed_dist is not None and dist is not None:
         raise ValueError(f"scenario {name} fixes its distribution ({fixed_dist})")
     if size is not None:
@@ -150,21 +146,7 @@ def make_scenario(
     for key, value in (("N", N), ("T", T), ("dist", dist)):
         if value is None:
             raise ValueError(f"scenario {name} requires {key}")
-    if (spiked is None) != (snr is None):
-        verb = "does not take" if spiked is None else "requires"
-        raise ValueError(f"scenario {name} {verb} snr")
-    scatter = None
-    if spiked is not None:
-        if not 0 < snr < np.inf:
-            raise ValueError("snr must be finite" if snr > 0 else "snr must be positive")
-        scatter = np.ones(N + r)
-        scatter[spiked] = snr
-    iid = fixed_dist is None
-    return ScenarioSpec(
-        name=name, r=r, theta=theta, rho=0.0 if iid else 0.5, beta=0.0 if iid else 0.2,
-        J=0 if iid else neighbor_half_width(N), dist=dist, N=N, T=T, reps=reps,
-        scatter_diag=scatter,
-    )
+    return ScenarioSpec(name=name, dist=dist, N=N, T=T, reps=reps, snr=snr)
 
 
 def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> DataPanel:
@@ -178,16 +160,19 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     if replication < 0:
         raise ValueError("replication must be >= 0")
     stream = RngStream(rng.master_seed, rng.stream_index + replication)
-    N, T, r = spec.N, spec.T, spec.r
-    q = N + r
-    scatter = np.ones(q) if spec.scatter_diag is None else np.array(spec.scatter_diag)
-    espec = EllipticalSpec(np.zeros(q), np.diag(np.sqrt(scatter)), _DIST_NU[spec.dist])
+    fixed_dist, theta, r, _, spiked, _ = _CATALOG[spec.name]
+    N, T = spec.N, spec.T
+    scatter = np.ones(N + r)
+    if spiked is not None:
+        scatter[spiked] = spec.snr
+    espec = EllipticalSpec(np.diag(np.sqrt(scatter)), _DIST_NU[spec.dist])
     n_draws = T + _BURN_IN
     X = sample_elliptical(espec, n_draws, stream)
     F = X[_BURN_IN:, :r]
     V = X[:, r:]
 
-    J, beta, rho = spec.J, spec.beta, spec.rho
+    # A has iid errors; the scenarios with a fixed dist have correlated ones
+    J, beta, rho = (0, 0.0, 0.0) if fixed_dist is None else (neighbor_half_width(N), 0.2, 0.5)
     if J > 0:
         # win[:, i] = V[:, max(i - J, 0)] + ... + V[:, min(i + J, N - 1)], from one
         # cumulative sum with a leading zero column
@@ -204,7 +189,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * W[_BURN_IN:]
 
     loadings = stream.generator(2).standard_normal((N, r))
-    Y = F @ loadings.T + np.sqrt(spec.theta) * u
+    Y = F @ loadings.T + np.sqrt(theta) * u
     return DataPanel(Y)
 
 

@@ -11,8 +11,3 @@ warnings.filterwarnings("ignore", message=".*TBB.*")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
-
-
-def random_panel_values(rng, T: int, N: int) -> np.ndarray:
-    """Generic continuous panel for property tests."""
-    return rng.standard_normal((T, N))

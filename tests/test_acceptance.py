@@ -216,7 +216,7 @@ def test_criterion_09_population_oracle_closure():
     oracle = population_kendall_eigenvalues_oracle(sigma, 1_000_000, RngStream(SEED, 1))
     oracle_sorted = np.sort(oracle)[::-1]
 
-    spec = EllipticalSpec(mu=np.zeros(N), scatter_factor=np.diag(np.sqrt(sigma)))
+    spec = EllipticalSpec(scatter_factor=np.diag(np.sqrt(sigma)))
     X = sample_elliptical(spec, 20_000, RngStream(SEED, 0))
     empirical = eigenvalues_sym(sample_kendall_tau(X).matrix)
 
@@ -233,8 +233,8 @@ def test_criterion_09_population_oracle_closure():
 def test_criterion_10_radial_law_invariance():
     sigma = np.linspace(5.0, 0.5, 10)
     A = np.diag(np.sqrt(sigma))
-    gauss = EllipticalSpec(mu=np.zeros(10), scatter_factor=A)
-    cauchy = EllipticalSpec(mu=np.zeros(10), scatter_factor=A, nu=1.0)
+    gauss = EllipticalSpec(scatter_factor=A)
+    cauchy = EllipticalSpec(scatter_factor=A, nu=1.0)
     stream = RngStream(7, 3)
     KG = sample_kendall_tau(sample_elliptical(gauss, 2000, stream)).matrix
     KC = sample_kendall_tau(sample_elliptical(cauchy, 2000, stream)).matrix

@@ -10,16 +10,12 @@ from robustfactors._errors import NumericalError
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 
 
-def gauss_spec(d, mu=None, A=None):
-    return t_spec(d, None, mu=mu, A=A)
+def gauss_spec(d, A=None):
+    return t_spec(d, None, A=A)
 
 
-def t_spec(d, nu, mu=None, A=None):
-    return EllipticalSpec(
-        mu=np.zeros(d) if mu is None else mu,
-        scatter_factor=np.eye(d) if A is None else A,
-        nu=nu,
-    )
+def t_spec(d, nu, A=None):
+    return EllipticalSpec(scatter_factor=np.eye(d) if A is None else A, nu=nu)
 
 
 class TestRngStream:
@@ -57,14 +53,15 @@ class TestRngStream:
 
 class TestSpecValidation:
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mu length"):
-            EllipticalSpec(mu=np.zeros(3), scatter_factor=np.eye(2))
+        for A in (np.ones(3), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="^scatter_factor must be a d x q matrix$"):
+                EllipticalSpec(scatter_factor=A)
 
     def test_student_t_requires_nu(self):
         # the t_nu needs nu > 0; nu=None is the Gaussian, not a missing nu
         for nu in (0, 0.0, -1.0, float("nan"), -np.inf):
             with pytest.raises(ValueError, match="nu"):
-                EllipticalSpec(mu=np.zeros(2), scatter_factor=np.eye(2), nu=nu)
+                EllipticalSpec(scatter_factor=np.eye(2), nu=nu)
 
     @pytest.mark.parametrize("nu", [np.inf, 1e309])
     def test_infinite_nu_rejected(self, nu):
@@ -72,16 +69,10 @@ class TestSpecValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^nu must be > 0 and finite"):
-                EllipticalSpec(mu=np.zeros(2), scatter_factor=np.eye(2), nu=nu)
+                EllipticalSpec(scatter_factor=np.eye(2), nu=nu)
 
 
 class TestGaussian:
-    def test_zero_scatter_returns_location(self):
-        mu = np.array([2.0, -1.0])
-        spec = gauss_spec(2, mu=mu, A=np.zeros((2, 2)))
-        X = sample_elliptical(spec, 10, RngStream(3))
-        np.testing.assert_array_equal(X, np.tile(mu, (10, 1)))
-
     def test_moments(self):
         n = 10**5
         X = sample_elliptical(gauss_spec(2), n, RngStream(17))
@@ -93,12 +84,6 @@ class TestGaussian:
         A = np.array([[2.0, 0.0], [1.0, 1.0]])
         X = sample_elliptical(gauss_spec(2, A=A), 10**5, RngStream(23))
         np.testing.assert_allclose(np.cov(X.T), A @ A.T, atol=0.08)
-
-    def test_location_shift_is_exact(self):
-        mu = np.array([5.0, -3.0, 0.25])
-        base = sample_elliptical(gauss_spec(3), 100, RngStream(9))
-        shifted = sample_elliptical(gauss_spec(3, mu=mu), 100, RngStream(9))
-        np.testing.assert_array_equal(shifted, base + mu)
 
 
 class TestStudentT:

@@ -133,7 +133,7 @@ ARRAY_HOLDERS = {
     "PairWeightBand": lambda Y: pair_weight_band(Y, 4),
     "EigenSpectrum": lambda Y: build_spectrum([1.0, 0.5, 0.25], N=10, T=10, c=0.01),
     "EstimationResult": lambda Y: estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=2)),
-    "EllipticalSpec": lambda Y: EllipticalSpec(Y[0], Y[:, :3], nu=3.0),
+    "EllipticalSpec": lambda Y: EllipticalSpec(Y[:, :3], nu=3.0),
 }
 
 
@@ -217,13 +217,16 @@ class TestCriterionValues:
         assert res0.ratio_series.shape == (8,)
 
     def test_k_max_limits(self):
-        spec = build_spectrum(np.linspace(1.0, 0.1, 10), N=10, T=10, c=0.01)
-        _evaluate(spec, EstimatorConfig(method="mker", k_max=9))
-        with pytest.raises(ValueError, match="too large"):
-            _evaluate(spec, EstimatorConfig(method="mker", k_max=10))
-        _evaluate(spec, EstimatorConfig(method="gr", k_max=8))
-        with pytest.raises(ValueError, match="too large"):
-            _evaluate(spec, EstimatorConfig(method="gr", k_max=9))
+        """min(N, T) >= k_max + 2 is checked before any criterion is read: gr reads
+        V_{k_max+1}, the strictest of the five, and every method gets the same limit."""
+        for T, N in ((12, 10), (10, 13)):
+            panel = DataPanel(np.random.default_rng(T).standard_normal((T, N)))
+            for method in ALL_METHODS:
+                res = estimate_many(panel, {method: EstimatorConfig(method=method, k_max=8)})
+                assert res[method].ratio_series.shape == (8,)
+                with pytest.raises(ValueError, match=r"^panel too small: min\(N, T\) = 10 < "
+                                                     r"k_max \+ 2 = 11$"):
+                    estimate_many(panel, {method: EstimatorConfig(method=method, k_max=9)})
 
 
 class TestRatioFormula:

@@ -57,7 +57,7 @@ def t_factor_panel(nu: float, seed: int, T: int = 400, N: int = 50, r: int = 3) 
     """T x N multivariate t_nu panel whose scatter has r strong factors."""
     gen = np.random.default_rng(seed)
     A = np.hstack([3.0 * gen.standard_normal((N, r)), np.eye(N)])
-    spec = EllipticalSpec(mu=np.zeros(N), scatter_factor=A, nu=nu)
+    spec = EllipticalSpec(scatter_factor=A, nu=nu)
     return sample_elliptical(spec, T, RngStream(seed))
 
 
@@ -339,8 +339,8 @@ class TestScatterSpectrumTransfer:
     def test_radial_law_does_not_move_the_matrix(self):
         sig = np.linspace(4.0, 0.5, 6)
         A = np.diag(np.sqrt(sig))
-        gs = EllipticalSpec(mu=np.zeros(6), scatter_factor=A)
-        ts = EllipticalSpec(mu=np.zeros(6), scatter_factor=A, nu=1.0)
+        gs = EllipticalSpec(scatter_factor=A)
+        ts = EllipticalSpec(scatter_factor=A, nu=1.0)
         stream = RngStream(101, 4)
         KG = sample_kendall_tau(sample_elliptical(gs, 600, stream)).matrix
         KC = sample_kendall_tau(sample_elliptical(ts, 600, stream)).matrix
@@ -349,7 +349,7 @@ class TestScatterSpectrumTransfer:
     def test_top_eigenvector_tracks_scatter(self):
         sig = np.array([25.0, 1.0, 1.0, 1.0, 1.0])
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(mu=np.zeros(5), scatter_factor=A)
+        spec = EllipticalSpec(scatter_factor=A)
         X = sample_elliptical(spec, 3000, RngStream(103))
         M = sample_kendall_tau(X).matrix
         w, V = np.linalg.eigh(M)
@@ -360,7 +360,7 @@ class TestScatterSpectrumTransfer:
         sig = np.array([10.0, 5.0, 1.0, 1.0])
         oracle = population_kendall_eigenvalues_oracle(sig, 1_000_000, RngStream(107))
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(mu=np.zeros(4), scatter_factor=A)
+        spec = EllipticalSpec(scatter_factor=A)
         X = sample_elliptical(spec, 5000, RngStream(109))
         emp = eigenvalues_sym(sample_kendall_tau(X).matrix)
         np.testing.assert_allclose(emp, np.sort(oracle)[::-1], atol=0.02)
@@ -369,7 +369,7 @@ class TestScatterSpectrumTransfer:
         sig = np.array([4.0, 2.0, 1.0, 0.5])
         pop = np.diag(np.sort(population_kendall_eigenvalues_oracle(sig, 2_000_000, RngStream(113)))[::-1])
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(mu=np.zeros(4), scatter_factor=A)
+        spec = EllipticalSpec(scatter_factor=A)
         errs = {200: 0.0, 1800: 0.0}
         for k in range(20):
             for T in errs:

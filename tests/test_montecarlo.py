@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,106 +24,62 @@ from robustfactors.montecarlo import (
     write_report_csv,
 )
 
+from scenario_oracle import loop_generate_panel, reference_make_scenario
 
-def plain_spec(**overrides):
-    base = dict(
-        name="unit", r=3, theta=1.0, rho=0.0, beta=0.0, J=0,
-        dist="gaussian", N=8, T=12, reps=2,
-    )
+
+def direct_spec(**overrides):
+    """A ScenarioSpec built without make_scenario, for the constructor's checks."""
+    base = dict(name="A", dist="gaussian", N=8, T=12, reps=2)
     base.update(overrides)
     return ScenarioSpec(**base)
 
 
-# dist -> (sampler family, degrees of freedom), as generate_panel once mapped it
-LOOP_DIST_PARAMS = {
-    "gaussian": ("gaussian", None),
-    "t3": ("student_t", 3.0),
-    "t2": ("student_t", 2.0),
-    "cauchy": ("student_t", 1.0),
-}
-
-
-def loop_scatter(spec):
-    if spec.scatter_diag is not None:
-        return np.array(spec.scatter_diag)
-    return np.ones(spec.N + spec.r)
-
-
-def loop_generate_panel(spec, replication, rng):
-    """generate_panel as it was written with per-series and per-step Python loops."""
-    stream = RngStream(rng.master_seed, rng.stream_index + replication)
-    N, T, r = spec.N, spec.T, spec.r
-    q = N + r
-    family, nu = LOOP_DIST_PARAMS[spec.dist]
-    assert (family == "gaussian") == (nu is None)
-    scatter_factor = np.diag(np.sqrt(loop_scatter(spec)))
-    espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=scatter_factor, nu=nu)
-    n_draws = T + 50
-    X = sample_elliptical(espec, n_draws, stream)
-    F = X[50:, :r]
-    V = X[:, r:]
-    J, beta, rho = spec.J, spec.beta, spec.rho
-    if J > 0:
-        csum = np.cumsum(V, axis=1)
-        win = np.empty_like(V)
-        for i in range(N):
-            hi = min(i + J, N - 1)
-            lo = i - J
-            win[:, i] = csum[:, hi] - (csum[:, lo - 1] if lo > 0 else 0.0)
-    else:
-        win = V
-    W = (1.0 - beta) * V + beta * win
-    E = np.empty((T, N))
-    e_prev = np.zeros(N)
-    for t in range(n_draws):
-        e_prev = rho * e_prev + W[t]
-        if t >= 50:
-            E[t - 50] = e_prev
-    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * E
-    loadings = stream.generator(2).standard_normal((N, r))
-    return F @ loadings.T + np.sqrt(spec.theta) * u
-
-
 class TestScenarioSpec:
     def test_validation(self):
-        with pytest.raises(ValueError, match="r must"):
-            plain_spec(r=-1)
-        with pytest.raises(ValueError, match="theta"):
-            plain_spec(theta=0.0)
-        with pytest.raises(ValueError, match="rho"):
-            plain_spec(rho=1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            plain_spec(beta=-0.1)
         with pytest.raises(ValueError, match="dist"):
-            plain_spec(dist="laplace")
+            direct_spec(dist="laplace")
         with pytest.raises(ValueError, match="reps"):
-            plain_spec(reps=0)
-        with pytest.raises(ValueError, match="scatter_diag"):
-            plain_spec(scatter_diag=np.ones(5))
-        with pytest.raises(ValueError, match="scatter_diag"):
-            plain_spec(scatter_diag=np.zeros(11))
+            direct_spec(reps=0)
         # the burn-in is a module constant, not a knob
         with pytest.raises(TypeError, match="burn_in"):
-            plain_spec(burn_in=10)
+            direct_spec(burn_in=10)
 
-    @pytest.mark.parametrize("knob, value, message", [
-        ("theta", np.inf, "theta must be positive and finite"),
-        ("beta", np.inf, "beta must be nonnegative and finite"),
-        ("beta", np.nan, "beta must be nonnegative and finite"),
-        ("scatter_diag", [1.0] * 10 + [np.inf], "scatter_diag must be positive and finite"),
+    def test_fields_are_the_knobs(self):
+        assert [f.name for f in dataclasses.fields(ScenarioSpec)] == [
+            "name", "dist", "N", "T", "reps", "snr"
+        ]
+        # the design's constants come from the catalog row; none is a keyword
+        for knob in ("r", "theta", "rho", "beta", "J", "scatter_diag"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+                direct_spec(**{knob: 1})
+
+    @pytest.mark.parametrize("name, snr, bad_knobs", [
+        ("Z9", None, {}),
+        ("B3", None, {}),
+        ("C5", None, {"dist": "bogus", "N": 1, "reps": 0}),
+        ("A", 2.0, {}),
+        ("B1", 2.0, {"N": 1}),
+        ("B5", 0.0, {}),
+        ("C3", -1.0, {"T": 2.5}),
+        ("B3", np.nan, {}),
+        ("C5", np.inf, {"dist": "bogus"}),
     ])
-    def test_non_finite_knobs_rejected(self, knob, value, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            plain_spec(**{knob: value})
+    def test_name_and_snr_checked_at_construction(self, name, snr, bad_knobs):
+        """A spec built directly fails as make_scenario does, before N, T, dist and reps."""
+        knobs = {"A": {"dist": "gaussian", "N": 8, "T": 12}, "B1": {"N": 8, "T": 12}}
+        with pytest.raises(ValueError) as want:
+            make_scenario(name, snr=snr, **knobs.get(name, {}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            direct_spec(name=name, snr=snr, **bad_knobs)
 
-    @pytest.mark.parametrize("knob", ["N", "T", "r", "J", "reps"])
+    @pytest.mark.parametrize("knob", ["N", "T", "reps"])
     def test_non_integer_sizes_rejected(self, knob):
         """Rejected at construction, not later inside numpy."""
         with pytest.raises(ValueError, match=f"^{knob} must be an integer, got 2.5$"):
-            plain_spec(**{knob: 2.5})
+            direct_spec(**{knob: 2.5})
         with pytest.raises(ValueError, match=f"^{knob} must be an integer, got '3'$"):
-            plain_spec(**{knob: "3"})
-        assert getattr(plain_spec(**{knob: np.int64(3)}), knob) == 3
+            direct_spec(**{knob: "3"})
+        assert getattr(direct_spec(**{knob: np.int64(3)}), knob) == 3
 
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError, match="^snr must be finite$"):
@@ -137,7 +95,6 @@ class TestScenarioSpec:
         assert spec == twin
         assert hash(spec) == hash(twin)
         assert spec != make_scenario("B3", snr=3.0)
-        assert plain_spec(scatter_diag=np.ones(11)) == plain_spec(scatter_diag=[1.0] * 11)
         spec = make_scenario("B5", snr=4.0, reps=2)
         assert run_scenario(spec, method_configs("mker"), master_seed=1) == run_scenario(
             spec, method_configs("mker"), master_seed=1
@@ -172,18 +129,18 @@ class TestCatalog:
 
     def test_a_knobs(self):
         spec = make_scenario("A", dist="cauchy", N=60, T=40, reps=7)
-        assert (spec.r, spec.theta, spec.rho, spec.beta, spec.J) == (3, 1.0, 0.0, 0.0, 0)
-        assert (spec.N, spec.T, spec.reps) == (60, 40, 7)
+        assert spec == ScenarioSpec(name="A", dist="cauchy", N=60, T=40, reps=7)
+        assert spec.r == 3
         with pytest.raises(ValueError, match="requires dist"):
             make_scenario("A", N=60, T=40)
         with pytest.raises(ValueError, match="does not take snr"):
             make_scenario("A", dist="t3", N=60, T=40, snr=5.0)
 
     def test_correlated_family_constants(self):
+        # rho, beta, J and theta come from the catalog row, and test_catalog_table
+        # holds each scenario's panels to its reference design byte for byte
         spec = make_scenario("B1", N=125, T=125)
-        assert (spec.rho, spec.beta, spec.dist) == (0.5, 0.2, "gaussian")
-        assert spec.J == neighbor_half_width(125)
-        assert make_scenario("B2", N=50, T=50).theta == 6.0
+        assert (spec.dist, spec.r, spec.snr) == ("gaussian", 3, None)
         assert make_scenario("C1", N=150, T=150).dist == "t3"
         with pytest.raises(ValueError, match="fixes its distribution"):
             make_scenario("B1", N=50, T=50, dist="t3")
@@ -192,10 +149,7 @@ class TestCatalog:
 
     def test_weak_factor_scenarios(self):
         spec = make_scenario("B3", snr=0.5)
-        assert (spec.N, spec.T, spec.r) == (100, 100, 3)
-        assert spec.scatter_diag is not None
-        assert spec.scatter_diag[2] == 0.5
-        assert np.all(np.asarray(spec.scatter_diag)[np.arange(103) != 2] == 1.0)
+        assert (spec.N, spec.T, spec.r, spec.snr) == (100, 100, 3, 0.5)
         with pytest.raises(ValueError, match="fixes N = T"):
             make_scenario("B3", snr=0.5, N=80)
         with pytest.raises(ValueError, match="requires snr"):
@@ -204,9 +158,7 @@ class TestCatalog:
     def test_dominant_factor_scenarios(self):
         for name, size in (("B5", 100), ("C5", 150)):
             spec = make_scenario(name, snr=20.0)
-            assert (spec.N, spec.T, spec.r) == (size, size, 2)
-            assert spec.scatter_diag[0] == 20.0
-            assert len(spec.scatter_diag) == size + 2
+            assert (spec.N, spec.T, spec.r, spec.snr) == (size, size, 2, 20.0)
 
     def test_kmax_knob_scenarios(self):
         spec = make_scenario("B4")
@@ -225,11 +177,11 @@ class TestCatalog:
 
 class TestGeneratePanel:
     def test_collapses_to_static_factor_model_without_dynamics(self):
-        spec = plain_spec()
+        spec = make_scenario("A", dist="gaussian", N=8, T=12)
         panel = generate_panel(spec, 3, RngStream(11, 0))
         stream = RngStream(11, 3)
         q = spec.N + spec.r
-        espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
+        espec = EllipticalSpec(scatter_factor=np.eye(q))
         X = sample_elliptical(espec, spec.T + 50, stream)
         F = X[50:, : spec.r]
         V = X[50:, spec.r:]
@@ -238,17 +190,18 @@ class TestGeneratePanel:
         assert np.array_equal(panel.values, expected)
 
     def test_matches_naive_elementwise_recursion(self):
-        spec = plain_spec(N=10, T=10, rho=0.5, beta=0.2, J=2)
+        # N = 25 puts the 21-series window of J = 10 whole for five interior series
+        spec = make_scenario("B1", N=25, T=10)
         panel = generate_panel(spec, 0, RngStream(5, 0))
 
         stream = RngStream(5, 0)
         q = spec.N + spec.r
-        espec = EllipticalSpec(mu=np.zeros(q), scatter_factor=np.eye(q))
+        espec = EllipticalSpec(scatter_factor=np.eye(q))
         n_draws = spec.T + 50
         X = sample_elliptical(espec, n_draws, stream)
         F = X[50:, : spec.r]
         V = X[:, spec.r:]
-        N, J, beta, rho = spec.N, spec.J, spec.beta, spec.rho
+        N, J, beta, rho = spec.N, neighbor_half_width(spec.N), 0.2, 0.5
         E = np.zeros((spec.T, N))
         e_prev = np.zeros(N)
         for t in range(n_draws):
@@ -278,38 +231,39 @@ class TestGeneratePanel:
     )
     def test_bytes_match_the_per_step_loops(self, name, knobs):
         spec = make_scenario(name, **knobs)
+        design = reference_make_scenario(name, **knobs)
         base = RngStream(23, 4)
         for k in range(30):
             got = generate_panel(spec, k, base).values
-            assert np.array_equal(got.view(np.int64), loop_generate_panel(spec, k, base).view(np.int64))
+            want = loop_generate_panel(design, k, base)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_idiosyncratic_variance_is_standardized(self):
-        spec = plain_spec(name="var", r=0, N=200, T=4000, rho=0.5, beta=0.2, J=10)
+        # J = 10 at N = 200; the factor part is drawn again from the stream and removed
+        spec = make_scenario("B1", N=200, T=4000)
         panel = generate_panel(spec, 0, RngStream(9, 0))
-        interior = panel.values[:, 50:150]
+        stream = RngStream(9, 0)
+        X = sample_elliptical(EllipticalSpec(np.eye(spec.N + spec.r)), spec.T + 50, stream)
+        loadings = stream.generator(2).standard_normal((spec.N, spec.r))
+        u = panel.values - X[50:, : spec.r] @ loadings.T
+        interior = u[:, 50:150]
         v = interior.var(axis=0, ddof=1).mean()
         assert abs(v - 1.0) < 0.1
 
-    def test_zero_factors_allowed(self):
-        spec = plain_spec(r=0)
-        panel = generate_panel(spec, 0, RngStream(1, 0))
-        assert panel.shape == (spec.T, spec.N)
-        assert np.isfinite(panel.values).all()
-
     def test_heavy_tail_distributions_run(self):
         for dist in ("t3", "t2", "cauchy"):
-            spec = plain_spec(dist=dist, N=6, T=30)
+            spec = make_scenario("A", dist=dist, N=6, T=30)
             panel = generate_panel(spec, 0, RngStream(2, 0))
             assert panel.shape == (30, 6)
             assert np.isfinite(panel.values).all()
 
     def test_cauchy_tails_heavier_than_gaussian(self):
-        g = generate_panel(plain_spec(N=10, T=400), 0, RngStream(7, 0)).values
-        c = generate_panel(plain_spec(N=10, T=400, dist="cauchy"), 0, RngStream(7, 0)).values
-        assert np.abs(c).max() > 5.0 * np.abs(g).max()
+        g = generate_panel(make_scenario("A", dist="gaussian", N=10, T=400), 0, RngStream(7, 0))
+        c = generate_panel(make_scenario("A", dist="cauchy", N=10, T=400), 0, RngStream(7, 0))
+        assert np.abs(c.values).max() > 5.0 * np.abs(g.values).max()
 
     def test_replication_determinism_and_stream_offset(self):
-        spec = plain_spec()
+        spec = make_scenario("A", dist="gaussian", N=8, T=12)
         a = generate_panel(spec, 3, RngStream(17, 0)).values
         b = generate_panel(spec, 3, RngStream(17, 0)).values
         c = generate_panel(spec, 0, RngStream(17, 3)).values
@@ -320,7 +274,7 @@ class TestGeneratePanel:
 
     def test_negative_replication_rejected(self):
         with pytest.raises(ValueError, match="replication"):
-            generate_panel(plain_spec(), -1, RngStream(0, 0))
+            generate_panel(make_scenario("B1", N=8, T=12), -1, RngStream(0, 0))
 
 
 class TestMethodConfigs:
