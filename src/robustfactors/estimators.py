@@ -9,13 +9,18 @@ allowed, via the mock eigenvalue).
 
 from __future__ import annotations
 
+import _queue
+import contextvars
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .kendall import KendallTauMatrix, sample_kendall_tau
+from .kendall import sample_kendall_tau
 from .panel import DataPanel, _double_demean
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
@@ -147,33 +152,112 @@ def _check_size(shape: tuple[int, int], configs) -> None:
             raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
 
 
-def _decide(Y, configs, kendall: KendallTauMatrix | None) -> dict[str, EstimationResult]:
+def _decide(Y, configs, kendall) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
-    on its shape; neither is checked again. ``kendall`` is the Kendall's tau
-    matrix of the double-demeaned ``Y`` where the caller has it; otherwise it
-    is None and the matrix is :func:`sample_kendall_tau` of that panel.
+    on its shape; neither is checked again. ``kendall`` is None, or a
+    function of no arguments that returns the Kendall's tau matrix of the
+    double-demeaned ``Y`` or None; where there is no matrix, it is
+    :func:`sample_kendall_tau` of that panel.
+
+    The Gram path runs on the helper thread while the Kendall path runs
+    here; both eigensolvers release the GIL. The bytes are those of one
+    thread, and of two failed paths the error that the first config in order
+    meets is raised.
     """
     T, N = Y.shape
-    demean = kendall is None or any(cfg.method in COVARIANCE_METHODS for cfg in configs.values())
-    demeaned = _double_demean(Y) if demean else None
-    raw_cache: dict[str, np.ndarray] = {}
+    paths = {_path(config) for config in configs.values()}
+    if kendall is None:  # one double-demeaned panel serves both paths
+        demeaned = _double_demean(Y)
+        gram_job = partial(gram_eigenvalues, demeaned)
+        kendall = partial(sample_kendall_tau, demeaned)
+    else:  # the helper demeans while ``kendall`` runs here
+        gram_job = partial(_gram_path, Y)
+    gram = _beside(gram_job) if "covariance" in paths else None
+    raw = {}
+    if "kendall" in paths:
+        raw["kendall"] = _outcome(partial(_kendall_path, Y, kendall))
+    if gram is not None:
+        raw["covariance"] = gram()
     spectra: dict[tuple[str, float], EigenSpectrum] = {}
     results: dict[str, EstimationResult] = {}
     for name, config in configs.items():
-        path = "kendall" if config.method in KENDALL_METHODS else "covariance"
-        if path not in raw_cache:
-            if path == "covariance":
-                raw_cache[path] = gram_eigenvalues(demeaned)
-            else:
-                kt = sample_kendall_tau(demeaned) if kendall is None else kendall
-                raw_cache[path] = eigenvalues_sym(kt.matrix)
+        path = _path(config)
+        values, error = raw[path]
+        if error is not None:
+            raise error
         skey = (path, config.c)
         if skey not in spectra:
-            spectra[skey] = build_spectrum(raw_cache[path], N=N, T=T, c=config.c)
+            spectra[skey] = build_spectrum(values, N=N, T=T, c=config.c)
         results[name] = _evaluate(spectra[skey], config)
     return results
+
+
+def _path(config: EstimatorConfig) -> str:
+    return "kendall" if config.method in KENDALL_METHODS else "covariance"
+
+
+def _kendall_path(Y, kendall) -> np.ndarray:
+    kt = kendall()
+    if kt is None:  # a window its band does not cover
+        kt = sample_kendall_tau(_double_demean(Y))
+    return eigenvalues_sym(kt.matrix)
+
+
+def _gram_path(Y) -> np.ndarray:
+    return gram_eigenvalues(_double_demean(Y))
+
+
+def _outcome(fn, catch=Exception) -> tuple:
+    """(fn(), None), or (None, the exception it raised)."""
+    try:
+        return fn(), None
+    except catch as exc:
+        return None, exc
+
+
+# The job queue of the helper thread, started on first use. A forked child
+# has no helper (only the forking thread survives a fork) and starts its own.
+_helper_jobs = None
+
+
+def _forget_helper() -> None:
+    global _helper_jobs
+    _helper_jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs) -> None:
+    while True:
+        context, fn, reply = jobs.get()
+        # any exception, so that the waiting caller always gets a reply
+        reply.put(_outcome(partial(context.run, fn), catch=BaseException))
+
+
+def _beside(fn):
+    """Start fn() on the helper thread; return a function that waits for its outcome.
+
+    The job runs in a copy of the caller's context, so the caller's
+    np.errstate, a context variable since numpy 2, holds in it. Where no
+    thread can be started, it runs here.
+    """
+    global _helper_jobs
+    jobs = _helper_jobs
+    if jobs is None:
+        # two threads racing here start one helper each; both serve correctly
+        jobs = _queue.SimpleQueue()
+        try:
+            threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+        except RuntimeError:  # no thread to be had
+            outcome = _outcome(fn)
+            return lambda: outcome
+        _helper_jobs = jobs
+    reply = _queue.SimpleQueue()
+    jobs.put((contextvars.copy_context(), fn, reply))
+    return reply.get
 
 
 def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._errors import InvariantError
 from .panel import DataPanel
+from .spectrum import eigenvalues_sym
 
 __all__ = [
     "KendallTauMatrix",
@@ -365,8 +366,8 @@ def verify_kendall_invariants(kt: KendallTauMatrix) -> None:
     trace_err = abs(float(np.trace(M)) - 1.0)
     if trace_err > 1e-10:
         raise InvariantError(f"kendall matrix trace deviates from 1 by {trace_err:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs[0] < -1e-10:
-        raise InvariantError(f"kendall matrix not PSD: min eigenvalue {eigs[0]:.3e}")
-    if eigs[-1] > 1.0 + 1e-10:
-        raise InvariantError(f"kendall matrix spectral norm {eigs[-1]:.6f} exceeds 1")
+    eigs = eigenvalues_sym(M)  # descending, of (M + M^T) / 2
+    if eigs[-1] < -1e-10:
+        raise InvariantError(f"kendall matrix not PSD: min eigenvalue {eigs[-1]:.3e}")
+    if eigs[0] > 1.0 + 1e-10:
+        raise InvariantError(f"kendall matrix spectral norm {eigs[0]:.6f} exceeds 1")

@@ -59,7 +59,8 @@ class ScenarioSpec:
     The design's constants (r, theta, the spiked factor and the error family)
     come from the catalog row of ``name``. snr, the scatter of the spiked
     factor, is required by B3, B5, C3 and C5 and taken by no other scenario.
-    :func:`make_scenario` also fills in the dist, N and T a scenario fixes.
+    A dist, N or T that contradicts the row is rejected with
+    :func:`make_scenario`'s message; that function also fills them in.
     """
 
     name: str
@@ -70,12 +71,16 @@ class ScenarioSpec:
     snr: float | None = None
 
     def __post_init__(self):
-        spiked = _catalog_row(self.name)[4]
+        fixed_dist, _, _, size, spiked, _ = _catalog_row(self.name)
         if (spiked is None) != (self.snr is None):
             verb = "does not take" if spiked is None else "requires"
             raise ValueError(f"scenario {self.name} {verb} snr")
         if spiked is not None and not 0 < self.snr < np.inf:
             raise ValueError("snr must be finite" if self.snr > 0 else "snr must be positive")
+        if fixed_dist not in (None, self.dist):
+            raise ValueError(f"scenario {self.name} fixes its distribution ({fixed_dist})")
+        if size is not None and not self.N == self.T == size:
+            raise ValueError(f"scenario {self.name} fixes N = T = {size}")
         _check_integers(self, "N", "T", "reps")
         if self.N < 2 or self.T < 2:
             raise ValueError("N and T must be >= 2")

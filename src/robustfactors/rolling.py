@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 from .estimators import KENDALL_METHODS, _check_size, _decide
 from .kendall import pair_weight_band, window_kendall_tau
@@ -67,8 +68,9 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
-        # a window the band does not cover (None) gets sample_kendall_tau in _decide
-        kendall = None if band is None else window_kendall_tau(band, start)
+        # _decide calls it while its helper thread runs the Gram path; a window
+        # the band does not cover (None) gets sample_kendall_tau there
+        kendall = None if band is None else partial(window_kendall_tau, band, start)
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
         rows.append((label, *(res.r_hat for res in results.values())))

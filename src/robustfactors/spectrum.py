@@ -8,6 +8,7 @@ the mock zero-factor eigenvalue precomputed.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,63 @@ class EigenSpectrum:
         return self.raw.shape[0]
 
 
+def _bind_eigvalsh():
+    """np.linalg.eigvalsh as one ctypes call to the LAPACK dsyevd that numpy links.
+
+    numpy's eigvalsh holds the GIL while LAPACK runs; a ctypes call releases
+    it, so two solves on two threads overlap. The call is numpy's own: jobz
+    'N', uplo 'L', a column-major copy and the workspace sizes of a query, so
+    the bytes are numpy's. The handle of numpy.linalg's extension module also
+    finds the symbols of the BLAS/LAPACK library it loaded; numpy's wheels
+    export dsyevd with 64-bit integers, as scipy_dsyevd_64_ (numpy 2) or
+    dsyevd_64_ (numpy 1). Where neither is found, np.linalg.eigvalsh itself
+    is the binding: the same bytes, without the overlap.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return np.linalg.eigvalsh
+    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
+        dsyevd = getattr(lib, name, None)
+        if dsyevd is not None:
+            break
+    else:
+        return np.linalg.eigvalsh
+    # jobz, uplo; n, a, lda, w, work, lwork, iwork, liwork, info; gfortran's
+    # lengths of the two strings
+    dsyevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    dsyevd.restype = None
+
+    def eigvalsh(A):
+        n = A.shape[0]
+        a = np.array(A, dtype=np.float64, order="F")  # dsyevd overwrites it
+        w = np.empty(n)
+        ints = np.array([n, max(n, 1), -1, -1, 0], dtype=np.int64)  # n, lda, lwork, liwork, info
+        at = ints.ctypes.data
+        n_p, lda_p, lwork_p, liwork_p, info_p = (at + 8 * k for k in range(5))
+
+        def call(work, iwork):
+            dsyevd(b"N", b"L", n_p, a.ctypes.data, lda_p, w.ctypes.data, work.ctypes.data,
+                   lwork_p, iwork.ctypes.data, liwork_p, info_p, 1, 1)
+
+        query, iquery = np.zeros(1), np.zeros(1, dtype=np.int64)
+        call(query, iquery)
+        ints[2:4] = int(query[0]), iquery[0]  # numpy truncates the size as well
+        call(np.empty(ints[2]), np.empty(ints[3], dtype=np.int64))
+        if ints[4] > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return w
+
+    return eigvalsh
+
+
+_eigvalsh = _bind_eigvalsh()
+
+
 def eigenvalues_sym(matrix) -> np.ndarray:
-    """Descending eigenvalues of a symmetric matrix.
+    """Descending eigenvalues of a symmetric matrix, by LAPACK dsyevd without the GIL.
 
     Parameters
     ----------
@@ -71,7 +127,7 @@ def eigenvalues_sym(matrix) -> np.ndarray:
             raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-8")
         A = 0.5 * (A + A.T)
     try:
-        vals = np.linalg.eigvalsh(A)
+        vals = _eigvalsh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     return np.ascontiguousarray(vals[::-1])

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfactors import estimators, rolling, spectrum
+from robustfactors._errors import NumericalError
 from robustfactors.elliptical import EllipticalSpec
 from robustfactors.estimators import (
     ALL_METHODS,
@@ -20,6 +26,7 @@ from robustfactors.estimators import (
 )
 from robustfactors.kendall import pair_weight_band, sample_kendall_tau
 from robustfactors.panel import DataPanel
+from robustfactors.rolling import rolling_estimate
 from robustfactors.spectrum import build_spectrum
 
 
@@ -408,3 +415,118 @@ class TestMethodAgreement:
         r1 = _evaluate(spec, EstimatorConfig(method="mker", k_max=8, c=0.001)).r_hat
         r2 = _evaluate(spec, EstimatorConfig(method="mktcr", k_max=8, c=0.001)).r_hat
         assert r1 == r2 == 3
+
+
+def fingerprint(results):
+    """Every byte of a decision: r_hat, the criterion series and the raw spectrum."""
+    return [
+        (name, res.r_hat, res.ratio_series.tobytes(), res.spectrum.raw.tobytes())
+        for name, res in results.items()
+    ]
+
+
+FIVE = {m: EstimatorConfig(method=m, k_max=4) for m in ALL_METHODS}
+
+
+def estimate_in_child(values, want):
+    assert fingerprint(estimate_many(DataPanel(values), FIVE)) == want
+
+
+class TestHelperThread:
+    """The Gram path runs on a helper thread; nothing of it shows in the result."""
+
+    def test_gram_path_runs_on_one_persistent_helper(self, rng, monkeypatch):
+        threads = []
+        gram = estimators.gram_eigenvalues
+        monkeypatch.setattr(
+            estimators, "gram_eigenvalues",
+            lambda Y: threads.append(threading.get_ident()) or gram(Y),
+        )
+        panel = factor_panel(rng, 40, 20, r=2)
+        for _ in range(3):
+            estimate_many(panel, FIVE)
+        assert len(threads) == 3 and len(set(threads)) == 1
+        assert threads[0] != threading.get_ident()
+
+    def test_concurrent_callers_share_the_helper(self, rng, monkeypatch):
+        panels = [factor_panel(rng, 40, 20, r=2) for _ in range(3)]
+        want = [fingerprint(estimate_many(p, FIVE)) for p in panels]
+        monkeypatch.setattr(estimators, "_helper_jobs", None)  # the callers race to start it
+        got = [[] for _ in range(6)]
+
+        def work(i):
+            for _ in range(5):
+                got[i].append(fingerprint(estimate_many(panels[i % 3], FIVE)))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want[i % 3]] * 5 for i in range(6)]
+
+    def test_bytes_do_not_depend_on_the_binding(self, monkeypatch):
+        gen = np.random.default_rng(31)
+        Y = factor_panel(gen, 70, 24, r=2).values
+        Y[30:36] *= 1e-9  # rows far below the peak: the windows over them fall back
+        decisions = []
+        core = rolling._decide
+
+        def record(*args):
+            out = core(*args)
+            decisions.append(fingerprint(out))
+            return out
+
+        monkeypatch.setattr(rolling, "_decide", record)
+
+        def run():
+            decisions.clear()
+            many = fingerprint(estimate_many(DataPanel(Y), FIVE))
+            rows = rolling_estimate(DataPanel(Y), 30, FIVE).rows
+            return many, rows, list(decisions)
+
+        threaded = run()
+        monkeypatch.setattr(spectrum, "_eigvalsh", np.linalg.eigvalsh)
+        assert run() == threaded
+        assert len(threaded[2]) == 41
+
+    @pytest.mark.parametrize("order, want", [(("er", "mker"), "gram"), (("mker", "er"), "kendall")])
+    def test_both_paths_fail_the_first_config_names_the_error(self, rng, monkeypatch, order, want):
+        def fail(name):
+            def raise_(Y):
+                raise NumericalError(f"{name} failed")
+            return raise_
+
+        monkeypatch.setattr(estimators, "gram_eigenvalues", fail("gram"))
+        monkeypatch.setattr(estimators, "sample_kendall_tau", fail("kendall"))
+        configs = {m: EstimatorConfig(method=m, k_max=3) for m in order}
+        with pytest.raises(NumericalError, match=f"^{want} failed$"):
+            estimate_many(factor_panel(rng, 30, 12, r=1), configs)
+
+    def test_caller_error_state_holds_on_the_helper(self, rng):
+        panel = DataPanel(1e160 * rng.standard_normal((40, 20)))
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+                estimate_many(panel, FIVE)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_child_starts_its_own_helper(self, rng):
+        Y = factor_panel(rng, 40, 20, r=2).values
+        want = fingerprint(estimate_many(DataPanel(Y), FIVE))  # the helper is running now
+        child = multiprocessing.get_context("fork").Process(target=estimate_in_child, args=(Y, want))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+: forking with threads
+            child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0

@@ -72,6 +72,19 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
             direct_spec(name=name, snr=snr, **bad_knobs)
 
+    def test_catalog_row_checked_at_construction(self):
+        """A dist, N or T that contradicts the row fails with make_scenario's message."""
+        with pytest.raises(ValueError, match=r"^scenario B3 fixes its distribution \(gaussian\)$"):
+            ScenarioSpec(name="B3", dist="cauchy", N=40, T=30, reps=2, snr=2.0)
+        with pytest.raises(ValueError, match=r"^scenario C1 fixes its distribution \(t3\)$"):
+            ScenarioSpec(name="C1", dist="gaussian", N=40, T=30, reps=2)
+        for N, T in ((40, 30), (100, 30), (30, 100)):
+            with pytest.raises(ValueError, match="^scenario B3 fixes N = T = 100$"):
+                ScenarioSpec(name="B3", dist="gaussian", N=N, T=T, reps=2, snr=2.0)
+        assert ScenarioSpec(name="B3", dist="gaussian", N=100, T=100, reps=2, snr=2.0) == (
+            make_scenario("B3", snr=2.0, reps=2)
+        )
+
     @pytest.mark.parametrize("knob", ["N", "T", "reps"])
     def test_non_integer_sizes_rejected(self, knob):
         """Rejected at construction, not later inside numpy."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfactors import spectrum
 from robustfactors._errors import InvariantError, NumericalError
 from robustfactors.kendall import sample_kendall_tau
 from robustfactors.spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
@@ -30,7 +32,7 @@ class TestEigenvaluesSym:
         np.testing.assert_allclose(eigenvalues_sym(A), lam, atol=1e-10)
 
     def test_symmetric_input_matches_the_symmetrized_solve(self, rng):
-        # An exactly symmetric matrix goes to eigvalsh as it is; the bytes are
+        # An exactly symmetric matrix goes to the solver as it is; the bytes are
         # those of the symmetrized copy, and of a full decomposition to 1e-12;
         # that decomposition reconstructs the matrix to 1e-12 in Frobenius norm.
         Y = rng.standard_t(1.0, size=(60, 12))
@@ -67,10 +69,47 @@ class TestEigenvaluesSym:
         def fail(A):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(spectrum, "_eigvalsh", fail)
         with pytest.raises(NumericalError, match="^eigensolver failed: Eigenvalues did not") as exc:
             eigenvalues_sym(np.eye(3))
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestLapackBinding:
+    """The ctypes call to LAPACK dsyevd against np.linalg.eigvalsh, to the byte."""
+
+    def test_bound_where_numpy_exports_dsyevd(self):
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        exported = any(hasattr(lib, name) for name in ("scipy_dsyevd_64_", "dsyevd_64_"))
+        assert (spectrum._eigvalsh is not np.linalg.eigvalsh) == exported
+
+    def test_bytes_match_numpy_at_every_size(self):
+        gen = np.random.default_rng(7)
+        for n in range(1, 201):
+            X = gen.standard_normal((n, n))
+            A = X + X.T
+            v = gen.standard_normal(n)
+            matrices = {
+                "random": A,
+                "zero": np.zeros((n, n)),
+                "identity": np.eye(n),
+                "rank-1": np.outer(v, v),
+                "repeated": np.diag(np.arange(n) // 3 + 1.0),
+                "x1e-300": A * 1e-300,
+                "x1e300": A * 1e300,
+            }
+            for kind, M in matrices.items():
+                got = spectrum._eigvalsh(M)
+                assert got.tobytes() == np.linalg.eigvalsh(M).tobytes(), (n, kind)
+
+    def test_reads_the_lower_triangle_of_any_layout(self):
+        # numpy's uplo='L': the upper triangle is ignored, whatever the memory order
+        X = np.random.default_rng(8).standard_normal((9, 9))
+        for M in (X, X.T, np.asfortranarray(X), X[::1, ::-1][:, ::-1]):
+            assert spectrum._eigvalsh(M).tobytes() == np.linalg.eigvalsh(M).tobytes()
+        assert (X == np.random.default_rng(8).standard_normal((9, 9))).all()  # input untouched
 
 
 class TestBuildSpectrum:
