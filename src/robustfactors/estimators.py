@@ -9,17 +9,14 @@ allowed, via the mock eigenvalue).
 
 from __future__ import annotations
 
-import _queue
-import contextvars
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._helper import _beside, _outcome
 from .kendall import sample_kendall_tau
 from .panel import DataPanel, _double_demean
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
@@ -161,8 +158,10 @@ def _decide(Y, configs, kendall) -> dict[str, EstimationResult]:
     double-demeaned ``Y`` or None; where there is no matrix, it is
     :func:`sample_kendall_tau` of that panel.
 
-    The Gram path runs on the helper thread while the Kendall path runs
-    here; both eigensolvers release the GIL. The bytes are those of one
+    The Gram path runs on the :mod:`._helper` thread while the Kendall path
+    runs here. The eigensolvers overlap only where ``spectrum._eigvalsh`` is
+    the LAPACK binding, which releases the GIL; the ``np.linalg.eigvalsh``
+    it falls back to holds it. The bytes are those of one
     thread, and of two failed paths the error that the first config in order
     meets is raised.
     """
@@ -207,57 +206,6 @@ def _kendall_path(Y, kendall) -> np.ndarray:
 
 def _gram_path(Y) -> np.ndarray:
     return gram_eigenvalues(_double_demean(Y))
-
-
-def _outcome(fn, catch=Exception) -> tuple:
-    """(fn(), None), or (None, the exception it raised)."""
-    try:
-        return fn(), None
-    except catch as exc:
-        return None, exc
-
-
-# The job queue of the helper thread, started on first use. A forked child
-# has no helper (only the forking thread survives a fork) and starts its own.
-_helper_jobs = None
-
-
-def _forget_helper() -> None:
-    global _helper_jobs
-    _helper_jobs = None
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _serve(jobs) -> None:
-    while True:
-        context, fn, reply = jobs.get()
-        # any exception, so that the waiting caller always gets a reply
-        reply.put(_outcome(partial(context.run, fn), catch=BaseException))
-
-
-def _beside(fn):
-    """Start fn() on the helper thread; return a function that waits for its outcome.
-
-    The job runs in a copy of the caller's context, so the caller's
-    np.errstate, a context variable since numpy 2, holds in it. Where no
-    thread can be started, it runs here.
-    """
-    global _helper_jobs
-    jobs = _helper_jobs
-    if jobs is None:
-        # two threads racing here start one helper each; both serve correctly
-        jobs = _queue.SimpleQueue()
-        try:
-            threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
-        except RuntimeError:  # no thread to be had
-            outcome = _outcome(fn)
-            return lambda: outcome
-        _helper_jobs = jobs
-    reply = _queue.SimpleQueue()
-    jobs.put((contextvars.copy_context(), fn, reply))
-    return reply.get
 
 
 def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:

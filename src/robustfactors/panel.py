@@ -11,11 +11,13 @@ import csv
 import io
 import math
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from ._helper import _beside
 
 __all__ = ["DataPanel", "ingest_csv", "impute_column_mean", "double_demean"]
 
@@ -144,11 +146,10 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     long doubles, which are rounded to doubles, and the few cells where that
     rounding can part from float() are read again; on such cells this is
     faster than np.loadtxt, which reads every other plain file. Past 64 data
-    lines that parse is shared between the calling thread and one helper
-    thread, since glibc's strtold runs without the GIL; the bytes are those
-    of one thread, and no thread count can be set. Every other file is read
-    cell by cell; only that parser raises on a cell, and all readers give
-    the same value bytes, mask, labels and messages.
+    lines that parse is shared with the package's one helper thread (see
+    :mod:`robustfactors._helper`). Every other file is read cell by cell;
+    only that parser raises on a cell, and all readers give the same value
+    bytes, mask, labels and messages.
     """
     with open(path, "rb") as fh:
         try:
@@ -235,13 +236,10 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     declined, as is any line whose comma count differs from the first's; it
     raises on any other cell that float() rejects (older numpy warns instead).
 
-    The chunks are shared in turn between the calling thread and one helper
-    thread, each of which writes only its own rows: np.fromstring runs
-    strtold without holding the GIL, so the two parse at once. Each cell is
-    read by the same calls on either thread, so the bytes do not depend on
-    which thread read it, and the split is fixed: nothing can be set. A file
-    of one chunk, or one where no thread can be started, is read on the
-    calling thread alone. An exception in the helper is raised here.
+    The odd chunks go to the thread of :mod:`._helper` and the even ones are
+    read here, each writing only its own rows; np.fromstring runs strtold
+    without the GIL, and a cell goes through the same calls on either thread.
+    A file of one chunk is read here alone. The helper's exception is raised here.
     """
     commas = lines[0].count(",")
     if any(line.count(",") != commas for line in lines):
@@ -250,10 +248,10 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     values = np.empty((len(lines), width))
     redo = np.empty((len(lines), width), dtype=bool)
     starts = range(0, len(lines), _CHUNK_ROWS)
-    stopped = []  # None when a chunk declines, or the helper's exception; both threads then stop
+    stopped = []  # a chunk declined; both threads then stop
 
     def read(chunk_starts):
-        with np.errstate(over="ignore"):  # numpy's error state is per thread
+        with np.errstate(over="ignore"):  # numpy 1 keeps its error state per thread
             for start in chunk_starts:
                 if stopped:
                     return
@@ -275,30 +273,16 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
                 )
                 values[start:stop] = wide.reshape(stop - start, width)  # rounds; 1e999 becomes inf
 
-    def help_read():
-        try:
-            read(starts[1::2])
-        except BaseException as exc:  # threading would drop it and leave rows unfilled
-            stopped.append(exc)
-
     # The filters are process-wide, so they are set once, here, for both threads.
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # older numpy truncates at bad data
-        helper = None
-        if len(starts) > 1:
-            helper = threading.Thread(target=help_read)
-            try:
-                helper.start()
-            except RuntimeError:  # no thread to be had
-                helper = None
+        helped = _beside(partial(read, starts[1::2])) if len(starts) > 1 else lambda: (None, None)
         try:
-            read(starts if helper is None else starts[::2])
+            read(starts[::2])
         finally:
-            if helper is not None:
-                helper.join()
-    for exc in stopped:
-        if exc is not None:
-            raise exc
+            _, error = helped()
+    if error is not None:
+        raise error
     if stopped:
         return None
     row = -1

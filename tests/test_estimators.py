@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfactors import estimators, rolling, spectrum
+from robustfactors import _helper, estimators, rolling, spectrum
 from robustfactors._errors import NumericalError
 from robustfactors.elliptical import EllipticalSpec
 from robustfactors.estimators import (
@@ -25,7 +25,7 @@ from robustfactors.estimators import (
     estimate_many,
 )
 from robustfactors.kendall import pair_weight_band, sample_kendall_tau
-from robustfactors.panel import DataPanel
+from robustfactors.panel import DataPanel, ingest_csv
 from robustfactors.rolling import rolling_estimate
 from robustfactors.spectrum import build_spectrum
 
@@ -428,7 +428,24 @@ def fingerprint(results):
 FIVE = {m: EstimatorConfig(method=m, k_max=4) for m in ALL_METHODS}
 
 
-def estimate_in_child(values, want):
+def repr_csv(path, rng, rows=200):
+    """A plain file of repr cells, the last series starting late; past 64 rows
+    the CSV reader hands its odd chunks to the helper."""
+    lines = ["a,b,c,d"] + [
+        ",".join("" if t < 3 and j == 3 else repr(float(x)) for j, x in enumerate(y))
+        for t, y in enumerate(rng.standard_normal((rows, 4)))
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def read_fingerprint(path):
+    panel = ingest_csv(path)
+    return panel.values.tobytes(), panel.missing_mask.tobytes()
+
+
+def estimate_in_child(values, want, path, want_read):
+    assert read_fingerprint(path) == want_read  # the child's first helper job
     assert fingerprint(estimate_many(DataPanel(values), FIVE)) == want
 
 
@@ -448,15 +465,20 @@ class TestHelperThread:
         assert len(threads) == 3 and len(set(threads)) == 1
         assert threads[0] != threading.get_ident()
 
-    def test_concurrent_callers_share_the_helper(self, rng, monkeypatch):
+    def test_concurrent_callers_share_the_helper(self, rng, monkeypatch, tmp_path):
+        """The CSV reader and the decision core queue their jobs on one helper."""
         panels = [factor_panel(rng, 40, 20, r=2) for _ in range(3)]
-        want = [fingerprint(estimate_many(p, FIVE)) for p in panels]
-        monkeypatch.setattr(estimators, "_helper_jobs", None)  # the callers race to start it
+        paths = [repr_csv(tmp_path / f"p{i}.csv", rng) for i in range(3)]
+        want = [
+            (read_fingerprint(f), fingerprint(estimate_many(p, FIVE))) for f, p in zip(paths, panels)
+        ]
+        monkeypatch.setattr(_helper, "_helper_jobs", None)  # the callers race to start it
         got = [[] for _ in range(6)]
 
         def work(i):
             for _ in range(5):
-                got[i].append(fingerprint(estimate_many(panels[i % 3], FIVE)))
+                read = read_fingerprint(paths[i % 3])
+                got[i].append((read, fingerprint(estimate_many(panels[i % 3], FIVE))))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
         interval = sys.getswitchinterval()
@@ -518,10 +540,12 @@ class TestHelperThread:
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
     )
-    def test_forked_child_starts_its_own_helper(self, rng):
+    def test_forked_child_starts_its_own_helper(self, rng, tmp_path):
         Y = factor_panel(rng, 40, 20, r=2).values
         want = fingerprint(estimate_many(DataPanel(Y), FIVE))  # the helper is running now
-        child = multiprocessing.get_context("fork").Process(target=estimate_in_child, args=(Y, want))
+        path = repr_csv(tmp_path / "panel.csv", rng)
+        args = (Y, want, path, read_fingerprint(path))
+        child = multiprocessing.get_context("fork").Process(target=estimate_in_child, args=args)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+: forking with threads
             child.start()

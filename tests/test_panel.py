@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from robustfactors import _helper, estimators
 from robustfactors import panel as panel_module
 from robustfactors.panel import DataPanel, double_demean, impute_column_mean, ingest_csv
 
@@ -605,26 +606,67 @@ class TestLongDoubleReader:
         else:
             assert outcome == ("error", f"{path}: " + error.format(row=row + 2))
 
-    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
-    @pytest.mark.parametrize("rows, helpers", [(CHUNK, 0), (CHUNK + 1, 1), (ROWS, 1)])
-    def test_one_helper_thread_past_one_chunk(self, tmp_path, rows, helpers):
-        path = self.chunked_file(tmp_path, rows=rows)
-        with mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+    def chunk_readers(self, path):
+        """{chunk index: the threads whose np.fromstring calls read it} in one ingest_csv."""
+        firsts = [line.partition(",")[2] for line in path.read_text().split("\n")[1::self.CHUNK]]
+        fromstring = np.fromstring
+        readers = {}
+
+        def record(text, *args, **kwargs):
+            chunk = next(i for i, first in enumerate(firsts) if first and text.startswith(first))
+            readers.setdefault(chunk, set()).add(threading.get_ident())
+            return fromstring(text, *args, **kwargs)
+
+        with mock.patch.object(np, "fromstring", side_effect=record):
             outcome, reader = ingest_which(path, has_time_column=True)
         assert reader == "long"
-        assert thread.call_count == helpers
         self.assert_cells_agree(path, outcome)
+        return readers
 
     @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
-    def test_no_thread_to_be_had(self, tmp_path):
+    @pytest.mark.parametrize("rows, helpers", [(CHUNK, 0), (CHUNK + 1, 1), (ROWS, 1)])
+    def test_one_helper_thread_past_one_chunk(self, tmp_path, rows, helpers, monkeypatch):
+        """The odd chunks are parsed on the thread that runs the Gram path."""
+        gram_threads = set()
+        gram = estimators.gram_eigenvalues
+        monkeypatch.setattr(
+            estimators, "gram_eigenvalues",
+            lambda Y: gram_threads.add(threading.get_ident()) or gram(Y),
+        )
+        panel = DataPanel(np.random.default_rng(4).standard_normal((20, 10)))
+        estimators.estimate_many(panel, {"er": estimators.EstimatorConfig("er", k_max=3)})
+        readers = self.chunk_readers(self.chunked_file(tmp_path, rows=rows))
+        caller = {threading.get_ident()}
+        assert len(readers) == -(-rows // self.CHUNK)
+        assert all(readers[i] == (gram_threads if i % 2 else caller) for i in readers)
+        assert len(gram_threads) == 1 and gram_threads != caller
+        assert len(set().union(*readers.values()) - caller) == helpers
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    def test_ingest_and_estimate_add_at_most_one_thread(self, tmp_path, monkeypatch):
+        path = self.chunked_file(tmp_path)
+        panel = DataPanel(np.random.default_rng(5).standard_normal((30, 12)))
+        configs = {m: estimators.EstimatorConfig(m, k_max=3) for m in estimators.ALL_METHODS}
+        monkeypatch.setattr(_helper, "_helper_jobs", None)  # a fresh helper starts on first use
+        before = threading.active_count()
+        with mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+            for _ in range(3):
+                ingest_csv(path, has_time_column=True)
+                estimators.estimate_many(panel, configs)
+        assert thread.call_count == 1
+        assert threading.active_count() <= before + 1
+
+    @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
+    def test_no_thread_to_be_had(self, tmp_path, monkeypatch):
         """The calling thread reads every chunk when the helper cannot start."""
         path = self.chunked_file(tmp_path, self.PLACES["helper chunk"], "9007199254740993")
+        monkeypatch.setattr(_helper, "_helper_jobs", None)
         fault = RuntimeError("can't start new thread")
         with mock.patch.object(threading.Thread, "start", side_effect=fault) as start:
-            outcome, reader = ingest_which(path, has_time_column=True)
+            readers = self.chunk_readers(path)
         assert start.called
-        assert reader == "long"
-        self.assert_cells_agree(path, outcome)
+        assert readers == {i: {threading.get_ident()} for i in range(5)}
+        assert _helper._helper_jobs is None
 
     @pytest.mark.skipif(LONG != "long", reason="long double is not the x87 type")
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
@@ -647,7 +689,9 @@ class TestLongDoubleReader:
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_overflow_in_a_helper_chunk_warns_on_no_thread(self, tmp_path):
-        """numpy's error state is per thread, so the helper ignores the overflow itself."""
+        """read sets its own np.errstate on whichever thread runs it: the helper's
+        jobs run in a copy of the caller's context, which carries the error state
+        in numpy 2, but numpy 1 keeps that state per thread."""
         row = self.PLACES["helper chunk"]
         path = self.chunked_file(tmp_path, row, "1e999")
         with warnings.catch_warnings():
