@@ -128,15 +128,15 @@ def estimate_many(
 ) -> dict[str, EstimationResult]:
     """Run several configurations on one panel, sharing matrix work.
 
-    The panel is double-demeaned and the Kendall's tau and Gram matrices are
-    built at most once each, and each regularized spectrum once per (matrix,
-    c); configs that differ only in k_max, allow_zero or the criterion share
-    them, which makes k_max sweeps nearly free.
+    Each path double-demeans the panel once and builds its matrix, Kendall's
+    tau or Gram, at most once, and each regularized spectrum is built once
+    per (matrix, c); configs that differ only in k_max, allow_zero or the
+    criterion share them, which makes k_max sweeps nearly free.
     """
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
     _check_size(panel.shape, configs)
-    return _decide(panel.values, configs, None)
+    return _decide(panel.values, configs)
 
 
 def _check_size(shape: tuple[int, int], configs) -> None:
@@ -149,7 +149,7 @@ def _check_size(shape: tuple[int, int], configs) -> None:
             raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
 
 
-def _decide(Y, configs, kendall) -> dict[str, EstimationResult]:
+def _decide(Y, configs, kendall=None) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
@@ -158,22 +158,17 @@ def _decide(Y, configs, kendall) -> dict[str, EstimationResult]:
     double-demeaned ``Y`` or None; where there is no matrix, it is
     :func:`sample_kendall_tau` of that panel.
 
-    The Gram path runs on the :mod:`._helper` thread while the Kendall path
-    runs here. The eigensolvers overlap only where ``spectrum._eigvalsh`` is
-    the LAPACK binding, which releases the GIL; the ``np.linalg.eigvalsh``
-    it falls back to holds it. The bytes are those of one
-    thread, and of two failed paths the error that the first config in order
-    meets is raised.
+    The Gram path (double demean, product, eigensolver) runs on the
+    :mod:`._helper` thread while the Kendall path runs here; each demeans
+    ``Y`` itself. The eigensolvers overlap only where ``spectrum._eigvalsh``
+    is the LAPACK binding, which releases the GIL; the
+    ``np.linalg.eigvalsh`` it falls back to holds it. The bytes are those of
+    one thread, and of two failed paths the error that the first config in
+    order meets is raised.
     """
     T, N = Y.shape
     paths = {_path(config) for config in configs.values()}
-    if kendall is None:  # one double-demeaned panel serves both paths
-        demeaned = _double_demean(Y)
-        gram_job = partial(gram_eigenvalues, demeaned)
-        kendall = partial(sample_kendall_tau, demeaned)
-    else:  # the helper demeans while ``kendall`` runs here
-        gram_job = partial(_gram_path, Y)
-    gram = _beside(gram_job) if "covariance" in paths else None
+    gram = _beside(partial(_gram_path, Y)) if "covariance" in paths else None
     raw = {}
     if "kendall" in paths:
         raw["kendall"] = _outcome(partial(_kendall_path, Y, kendall))
@@ -198,8 +193,8 @@ def _path(config: EstimatorConfig) -> str:
 
 
 def _kendall_path(Y, kendall) -> np.ndarray:
-    kt = kendall()
-    if kt is None:  # a window its band does not cover
+    kt = kendall() if kendall else None
+    if kt is None:  # no band, or a window its band does not cover
         kt = sample_kendall_tau(_double_demean(Y))
     return eigenvalues_sym(kt.matrix)
 

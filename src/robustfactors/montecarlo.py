@@ -269,7 +269,7 @@ def run_scenario(
     base = RngStream(master_seed, 0)
     hist: dict[str, dict[int, int]] = {name: {} for name in configs}
     for k in range(spec.reps):
-        results = _decide(generate_panel(spec, k, base).values, configs, None)
+        results = _decide(generate_panel(spec, k, base).values, configs)
         for name, res in results.items():
             hist[name][res.r_hat] = hist[name].get(res.r_hat, 0) + 1
         if progress is not None:

@@ -11,7 +11,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,12 +23,27 @@ __all__ = ["DataPanel", "ingest_csv", "impute_column_mean", "double_demean"]
 # Tokens treated as missing cells in CSV input (case-insensitive).
 _MISSING_TOKENS = {"", "na", "nan"}
 
+
+def _fromstring_raises() -> bool:
+    """Whether np.fromstring raises ValueError at a cell it cannot read, as numpy 2
+    does; older numpy warns and returns the cells before it."""
+    try:
+        np.fromstring("1,x", dtype=np.longdouble, sep=",")
+    except ValueError:
+        return True
+    except DeprecationWarning:  # older numpy's warning, where a filter makes it an error
+        pass
+    return False
+
+
 # _read_long needs the x87 80-bit long double: a 64-bit significand word, then
-# the sign and 15-bit exponent, in 16 little-endian bytes.
-_X87_LONG_DOUBLE = (
+# the sign and 15-bit exponent, in 16 little-endian bytes; and an np.fromstring
+# that raises where it stops.
+_LONG_READER = (
     np.finfo(np.longdouble).nmant == 63
     and np.dtype(np.longdouble).itemsize == 16
     and sys.byteorder == "little"
+    and _fromstring_raises()
 )
 # The biased long-double exponent of the least normal double, 2**-1022.
 _LONG_DOUBLE_MIN_NORMAL_DOUBLE = 16383 - 1022
@@ -123,8 +137,9 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
         byte-order mark is dropped. A cell that is empty, "NA" or "NaN" (any
         case, surrounding whitespace allowed) is missing. Every other cell
         must be a finite number: "inf", "+nan" and overflowing literals such
-        as "1e999" are rejected, and so is a byte that is not UTF-8. Error
-        messages give 1-based rows that count the header.
+        as "1e999" are rejected, and so is a byte that is not UTF-8 or a cell
+        over csv.field_size_limit(). Error messages give 1-based rows that
+        count the header.
     has_header : bool
         Skip the first row.
     has_time_column : bool
@@ -138,18 +153,18 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
 
     Notes
     -----
-    A plain file (no quotes, carriage returns, NUL characters or blank lines;
-    the same number of commas on every data line) is read by numpy's C
-    readers unless they reject it, it holds an infinite value, or a data cell
-    has an "n" and is not a missing token. If a cell of the first data row
-    has more than 15 significant digits, np.fromstring reads the cells as x87
-    long doubles, which are rounded to doubles, and the few cells where that
-    rounding can part from float() are read again; on such cells this is
-    faster than np.loadtxt, which reads every other plain file. Past 64 data
-    lines that parse is shared with the package's one helper thread (see
-    :mod:`robustfactors._helper`). Every other file is read cell by cell;
-    only that parser raises on a cell, and all readers give the same value
-    bytes, mask, labels and messages.
+    A plain file (no quotes, carriage returns, NUL characters, blank lines or
+    cells over the field size limit; the same number of commas on every data
+    line) is read by numpy's C readers unless they reject it, it holds an
+    infinite value, or a data cell has an "n" and is not a missing token. If
+    a cell of the first data row has more than 15 significant digits,
+    np.fromstring reads the cells as x87 long doubles, which are rounded to
+    doubles, and the few cells where that rounding can part from float() are
+    read again; on such cells this is faster than np.loadtxt, which reads
+    every other plain file. Past 64 data lines that parse is shared with the
+    package's one helper thread (see :mod:`robustfactors._helper`). Every
+    other file is read cell by cell; only that parser raises on a cell, and
+    all readers give the same value bytes, mask, labels and messages.
     """
     with open(path, "rb") as fh:
         try:
@@ -172,15 +187,19 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
     row has a cell with more than 15 significant digits, as repr, pandas and
     np.savetxt write them, _read_long reads the cells; otherwise, or when it
     declines the file, np.loadtxt does. Either way each value is the correctly
-    rounded double that float() gives. NUL and lines over csv's field size
-    limit go to csv.reader, which may raise on them.
+    rounded double that float() gives. NUL and cells over csv's field size
+    limit go to csv.reader, which may raise on them; only a line longer than
+    that limit is split to find its longest cell.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) - has_header < 2 or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+    if len(lines) - has_header < 2 or "" in lines:
+        return None
+    limit = csv.field_size_limit()
+    if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
         return None
     del lines[:has_header]
     labels = [] if has_time_column else None
@@ -200,7 +219,7 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
             line = line.replace(",,", ",nan,").replace(",,", ",nan,")
             line = ("nan" if line[0] == "," else "") + line + ("nan" if line[-1] == "," else "")
         lines[i] = line
-    values = _read_long(lines) if _X87_LONG_DOUBLE and _has_long_cells(lines[0]) else None
+    values = _read_long(lines) if _LONG_READER and _has_long_cells(lines[0]) else None
     if values is None:
         # loadtxt rejects a line whose cell count differs from the first line's.
         try:
@@ -234,7 +253,9 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     cells are read again with float(). np.fromstring also reads hex and
     reads a blank cell as 0, so a chunk with whitespace or an "x" is
     declined, as is any line whose comma count differs from the first's; it
-    raises on any other cell that float() rejects (older numpy warns instead).
+    raises on any other cell that float() rejects. Where numpy only warns
+    there and returns the cells before it, _LONG_READER keeps every file from
+    this reader, which sets no warning filter: those are process-wide.
 
     The odd chunks go to the thread of :mod:`._helper` and the even ones are
     read here, each writing only its own rows; np.fromstring runs strtold
@@ -262,7 +283,7 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
                     return
                 try:
                     wide = np.fromstring(chunk, dtype=np.longdouble, sep=",")
-                except (ValueError, DeprecationWarning):
+                except ValueError:
                     stopped.append(None)
                     return
                 del chunk  # before the next join
@@ -273,14 +294,11 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
                 )
                 values[start:stop] = wide.reshape(stop - start, width)  # rounds; 1e999 becomes inf
 
-    # The filters are process-wide, so they are set once, here, for both threads.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # older numpy truncates at bad data
-        helped = _beside(partial(read, starts[1::2])) if len(starts) > 1 else lambda: (None, None)
-        try:
-            read(starts[::2])
-        finally:
-            _, error = helped()
+    helped = _beside(partial(read, starts[1::2])) if len(starts) > 1 else lambda: (None, None)
+    try:
+        read(starts[::2])
+    finally:
+        _, error = helped()
     if error is not None:
         raise error
     if stopped:
@@ -300,8 +318,7 @@ def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> Dat
     rows: list[list[float]] = []
     labels: list[str] = []
     width = None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for lineno, record in enumerate(reader, start=1):
+    for lineno, record in _records(text, path):
         if has_header and lineno == 1:
             continue
         if has_time_column:
@@ -333,6 +350,17 @@ def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> Dat
         time_labels=labels if has_time_column else None,
         missing_mask=np.isnan(values),
     )
+
+
+def _records(text: str, path):
+    """(1-based row, record) of each csv.reader record of the text; a csv.Error,
+    such as a cell over the field size limit, becomes a ValueError naming the row."""
+    row = 0
+    try:
+        for row, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield row, record
+    except csv.Error as exc:
+        raise ValueError(f"{path}: cannot read row {row + 1}: {exc}") from None
 
 
 def impute_column_mean(panel: DataPanel) -> DataPanel:

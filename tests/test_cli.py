@@ -238,6 +238,14 @@ class TestEstimate:
         assert f"{bad}: row 3 is not valid UTF-8" in proc.stderr
         assert proc.stdout == ""
 
+    def test_cell_over_the_field_limit_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1," + "1" * 140_000 + "\n2,3\n")
+        assert cli.main(["estimate", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        limit = csv.field_size_limit()
+        assert err == f"error: {path}: cannot read row 2: field larger than field limit ({limit})\n"
+
     def test_input_flag_required(self):
         proc = run_cli("estimate")
         assert proc.returncode == 1

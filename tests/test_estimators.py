@@ -465,6 +465,26 @@ class TestHelperThread:
         assert len(threads) == 3 and len(set(threads)) == 1
         assert threads[0] != threading.get_ident()
 
+    def demeaning_threads(self, monkeypatch, panel, configs):
+        """The thread of each _double_demean call in one estimate_many."""
+        threads = []
+        demean = estimators._double_demean
+        monkeypatch.setattr(
+            estimators, "_double_demean",
+            lambda Y: threads.append(threading.get_ident()) or demean(Y),
+        )
+        estimate_many(panel, configs)
+        return threads
+
+    def test_gram_only_call_demeans_on_the_helper(self, rng, monkeypatch):
+        configs = {m: EstimatorConfig(method=m, k_max=3) for m in COVARIANCE_METHODS}
+        threads = self.demeaning_threads(monkeypatch, factor_panel(rng, 30, 12, r=1), configs)
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+    def test_each_path_demeans_once(self, rng, monkeypatch):
+        threads = self.demeaning_threads(monkeypatch, factor_panel(rng, 30, 12, r=1), FIVE)
+        assert sorted(t == threading.get_ident() for t in threads) == [False, True]
+
     def test_concurrent_callers_share_the_helper(self, rng, monkeypatch, tmp_path):
         """The CSV reader and the decision core queue their jobs on one helper."""
         panels = [factor_panel(rng, 40, 20, r=2) for _ in range(3)]
@@ -481,6 +501,7 @@ class TestHelperThread:
                 got[i].append((read, fingerprint(estimate_many(panels[i % 3], FIVE))))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        filters = list(warnings.filters)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -492,6 +513,7 @@ class TestHelperThread:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [[want[i % 3]] * 5 for i in range(6)]
+        assert warnings.filters == filters  # process-wide; no reader may leave one set
 
     def test_bytes_do_not_depend_on_the_binding(self, monkeypatch):
         gen = np.random.default_rng(31)

@@ -104,8 +104,9 @@ def ingest_which(path, has_header=True, has_time_column=False):
     return outcome, ("loadtxt" if c_reader.called else "long") if plain else "cells"
 
 
-# The reader of full-precision cells where long double is the x87 type.
-LONG = "long" if panel_module._X87_LONG_DOUBLE else "loadtxt"
+# The reader of full-precision cells where long double is the x87 type and
+# np.fromstring raises at a cell it cannot read.
+LONG = "long" if panel_module._LONG_READER else "loadtxt"
 _EXACT = decimal.Context(prec=2000)  # every double and midpoint has fewer digits
 
 
@@ -442,6 +443,18 @@ class TestPlainReaderTraps:
         outcome, _ = ingest_both(path, has_time_column=has_time_column)
         assert outcome == ("error", f"{path}: cannot parse cell at row 4, column 1: '#'")
 
+    def test_wide_panel_takes_the_plain_reader(self, tmp_path):
+        """Lines past csv's field size limit, every cell far below it."""
+        N = 7000  # about 19 characters a repr cell
+        Y = np.random.default_rng(8).standard_normal((3, N))
+        lines = [",".join(f"x{j}" for j in range(N))]
+        lines += [",".join(repr(float(v)) for v in y) for y in Y]
+        assert min(map(len, lines[1:])) > csv.field_size_limit()
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        outcome, reader = ingest_which(path)
+        assert reader == LONG
+        assert outcome[1] == Y.tobytes()
+
     def test_benchmark_layout_takes_the_c_reader(self, tmp_path, monkeypatch):
         """A 708 x 128 dated Cauchy panel with 16 late-starting series, as perfbench writes it."""
         rng = np.random.default_rng(7)
@@ -686,6 +699,42 @@ class TestLongDoubleReader:
             with pytest.raises(RuntimeError, match="^fault in the second chunk$"):
                 ingest_csv(path, has_time_column=True)
         assert readers and threading.main_thread() not in readers
+
+    def test_sets_no_warning_filter(self, tmp_path):
+        """The filters are process-wide, so a reader on two threads must not set them."""
+        path = self.chunked_file(tmp_path, self.PLACES["helper chunk"], "9007199254740993")
+        fault = AssertionError("a warning filter was set")
+        filters = list(warnings.filters)
+        with mock.patch.object(warnings, "simplefilter", side_effect=fault), \
+                mock.patch.object(warnings, "catch_warnings", side_effect=fault):
+            outcome, reader = ingest_which(path, has_time_column=True)
+        assert reader == LONG
+        assert outcome[0] == "ok"
+        assert warnings.filters == filters
+
+    def test_probe_turns_the_reader_off_where_fromstring_warns(self, tmp_path, monkeypatch):
+        """Older numpy warns at an unreadable cell and returns the cells before it."""
+        fromstring = np.fromstring
+
+        def warns(text, *args, **kwargs):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return fromstring(text.partition(",x")[0], *args, **kwargs)
+
+        filters = list(warnings.filters)
+        with mock.patch.object(np, "fromstring", side_effect=warns) as probed:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                usable = panel_module._fromstring_raises()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                assert panel_module._fromstring_raises() is False
+        assert usable is False and probed.call_count == 2
+        assert warnings.filters == filters
+        monkeypatch.setattr(panel_module, "_LONG_READER", usable)
+        path = write_csv(tmp_path, f"a,b\n{self.LEAD},2\n3,4\n")
+        outcome, reader = ingest_which(path)
+        assert reader == "loadtxt"
+        assert outcome[0] == "ok"
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_overflow_in_a_helper_chunk_warns_on_no_thread(self, tmp_path):
