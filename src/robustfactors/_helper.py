@@ -45,8 +45,8 @@ def _beside(fn):
     """Start fn() on the helper thread; return a function that waits for its outcome.
 
     The job runs in a copy of the caller's context, so the caller's
-    np.errstate, a context variable since numpy 2, holds in it. Where no
-    thread can be started, it runs here.
+    np.errstate, a context variable, holds in it. Where no thread can be
+    started, it runs here.
     """
     global _helper_jobs
     jobs = _helper_jobs

@@ -17,14 +17,7 @@ from ._errors import InvariantError
 from .panel import DataPanel
 from .spectrum import eigenvalues_sym
 
-__all__ = [
-    "KendallTauMatrix",
-    "sample_kendall_tau",
-    "PairWeightBand",
-    "pair_weight_band",
-    "window_kendall_tau",
-    "verify_kendall_invariants",
-]
+__all__ = ["KendallTauMatrix", "sample_kendall_tau", "verify_kendall_invariants"]
 
 # Row blocks of the pair-weight matrix: at most this many rows, so a block's
 # weights stay in cache and the triangle below the diagonal is mostly skipped,
@@ -219,10 +212,10 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
-class PairWeightBand:
+class _PairWeightBand:
     """Pair weights of the rows of a panel that are fewer than ``window`` rows apart.
 
-    Built once by :func:`pair_weight_band`; :func:`window_kendall_tau` reads
+    Built once by :func:`_pair_weight_band`; :func:`_window_kendall_tau` reads
     the Kendall matrix of each run of ``window`` consecutive rows from it.
 
     Attributes
@@ -269,7 +262,7 @@ def _flat_view(weights: np.ndarray, offset: int, shape, steps) -> np.ndarray:
     )
 
 
-def pair_weight_band(panel, window: int) -> PairWeightBand:
+def _pair_weight_band(panel, window: int) -> _PairWeightBand:
     """Weights w_ij = 1/|z_i - z_j|^2 of every row pair with 0 < j - i < window, once.
 
     The panel is rescaled and median-centered once, as in
@@ -308,13 +301,13 @@ def pair_weight_band(panel, window: int) -> PairWeightBand:
     else:
         pair_rows = pair_cols = np.zeros(0, dtype=np.intp)
         pair_diffs, pair_sq = np.zeros((0, Z.shape[1])), np.zeros(0)
-    return PairWeightBand(
+    return _PairWeightBand(
         Z=Z, weights=weights, window=window, pair_rows=pair_rows, pair_cols=pair_cols,
         pair_diffs=pair_diffs, pair_sq=pair_sq, far_rows=np.concatenate(([0], np.cumsum(far))),
     )
 
 
-def window_kendall_tau(band: PairWeightBand, start: int) -> KendallTauMatrix | None:
+def _window_kendall_tau(band: _PairWeightBand, start: int) -> KendallTauMatrix | None:
     """Kendall's tau matrix of rows start, ..., start + window - 1, from the band.
 
     With W_w the window's block of pair weights and deg_w its row sums, the

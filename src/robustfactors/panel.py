@@ -272,7 +272,7 @@ def _read_long(lines: list[str]) -> np.ndarray | None:
     stopped = []  # a chunk declined; both threads then stop
 
     def read(chunk_starts):
-        with np.errstate(over="ignore"):  # numpy 1 keeps its error state per thread
+        with np.errstate(over="ignore"):  # 1e999 rounds to inf, which _read_plain declines
             for start in chunk_starts:
                 if stopped:
                     return

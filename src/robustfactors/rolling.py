@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .estimators import KENDALL_METHODS, _check_size, _decide
-from .kendall import pair_weight_band, window_kendall_tau
+from .kendall import _pair_weight_band, _window_kendall_tau
 from .panel import DataPanel
 
 __all__ = ["RollingResult", "rolling_estimate", "write_rolling_csv"]
@@ -38,9 +38,9 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
 
     The panel and configs are validated once per call, not per window. The
     Kendall matrices of all windows come from one
-    :func:`~robustfactors.kendall.pair_weight_band` of the row-demeaned
+    :func:`~robustfactors.kendall._pair_weight_band` of the row-demeaned
     panel, built only when some config is a Kendall method; see
-    :func:`~robustfactors.kendall.window_kendall_tau`.
+    :func:`~robustfactors.kendall._window_kendall_tau`.
     """
     if panel.has_missing:
         raise ValueError("panel has missing entries; impute before rolling estimation")
@@ -62,7 +62,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     values = panel.values
     band = None
     if any(cfg.method in KENDALL_METHODS for cfg in configs.values()):
-        band = pair_weight_band(values - values.mean(axis=1, keepdims=True), window)
+        band = _pair_weight_band(values - values.mean(axis=1, keepdims=True), window)
     labels = panel.time_labels
     rows: list[tuple] = []
     n_windows = T - window + 1
@@ -70,7 +70,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         end = start + window - 1
         # _decide calls it while its helper thread runs the Gram path; a window
         # the band does not cover (None) gets sample_kendall_tau there
-        kendall = None if band is None else partial(window_kendall_tau, band, start)
+        kendall = None if band is None else partial(_window_kendall_tau, band, start)
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)
         rows.append((label, *(res.r_hat for res in results.values())))

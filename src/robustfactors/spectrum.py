@@ -59,21 +59,15 @@ def _bind_eigvalsh():
     'N', uplo 'L', a column-major copy and the workspace sizes of a query, so
     the bytes are numpy's. The handle of numpy.linalg's extension module also
     finds the symbols of the BLAS/LAPACK library it loaded; numpy's wheels
-    export dsyevd with 64-bit integers, as scipy_dsyevd_64_ (numpy 2) or
-    dsyevd_64_ (numpy 1). Where neither is found, np.linalg.eigvalsh itself
-    is the binding: the same bytes, without the overlap.
+    export dsyevd with 64-bit integers, as scipy_dsyevd_64_. Where that is not
+    found, np.linalg.eigvalsh itself is the binding: the same bytes, without
+    the overlap.
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
-        return np.linalg.eigvalsh
-    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
-        dsyevd = getattr(lib, name, None)
-        if dsyevd is not None:
-            break
-    else:
+        dsyevd = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, OSError, AttributeError):
         return np.linalg.eigvalsh
     # jobz, uplo; n, a, lda, w, work, lwork, iwork, liwork, info; gfortran's
     # lengths of the two strings

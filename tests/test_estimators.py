@@ -24,7 +24,7 @@ from robustfactors.estimators import (
     estimate,
     estimate_many,
 )
-from robustfactors.kendall import pair_weight_band, sample_kendall_tau
+from robustfactors.kendall import _pair_weight_band, sample_kendall_tau
 from robustfactors.panel import DataPanel, ingest_csv
 from robustfactors.rolling import rolling_estimate
 from robustfactors.spectrum import build_spectrum
@@ -137,7 +137,7 @@ class TestConfig:
 ARRAY_HOLDERS = {
     "DataPanel": lambda Y: DataPanel(Y),
     "KendallTauMatrix": lambda Y: sample_kendall_tau(Y),
-    "PairWeightBand": lambda Y: pair_weight_band(Y, 4),
+    "PairWeightBand": lambda Y: _pair_weight_band(Y, 4),
     "EigenSpectrum": lambda Y: build_spectrum([1.0, 0.5, 0.25], N=10, T=10, c=0.01),
     "EstimationResult": lambda Y: estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=2)),
     "EllipticalSpec": lambda Y: EllipticalSpec(Y[:, :3], nu=3.0),

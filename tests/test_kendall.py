@@ -149,7 +149,7 @@ _THREADS_SCRIPT = """
 import json, sys
 import numpy as np
 from robustfactors import DataPanel, estimate_many, method_configs, sample_kendall_tau
-from robustfactors.kendall import pair_weight_band, window_kendall_tau
+from robustfactors.kendall import _pair_weight_band, _window_kendall_tau
 gen = np.random.default_rng(5)
 shapes = [(300, 128, 2.0), (708, 40, 3.0), (97, 11, 1.0)]  # T, N, t degrees of freedom
 panels = [3.0 * gen.standard_normal((T, 3)) @ gen.standard_normal((3, N))
@@ -158,7 +158,7 @@ out = []
 for Y in panels:
     res = estimate_many(DataPanel(Y), method_configs(None))
     out.append({"matrix": sample_kendall_tau(Y).matrix.tobytes().hex(),
-                "window": window_kendall_tau(pair_weight_band(Y, 60), 30).matrix.tobytes().hex(),
+                "window": _window_kendall_tau(_pair_weight_band(Y, 60), 30).matrix.tobytes().hex(),
                 "r_hat": {m: r.r_hat for m, r in res.items()}})
 json.dump(out, sys.stdout)
 """

@@ -739,8 +739,8 @@ class TestLongDoubleReader:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_overflow_in_a_helper_chunk_warns_on_no_thread(self, tmp_path):
         """read sets its own np.errstate on whichever thread runs it: the helper's
-        jobs run in a copy of the caller's context, which carries the error state
-        in numpy 2, but numpy 1 keeps that state per thread."""
+        job is queued, with a copy of the caller's context, before the caller
+        enters read's np.errstate."""
         row = self.PLACES["helper chunk"]
         path = self.chunked_file(tmp_path, row, "1e999")
         with warnings.catch_warnings():

@@ -14,7 +14,7 @@ import robustfactors.estimators as estimators
 import robustfactors.rolling as rolling
 from robustfactors.elliptical import RngStream
 from robustfactors.estimators import KENDALL_METHODS, EstimatorConfig, _evaluate, estimate_many
-from robustfactors.kendall import pair_weight_band, sample_kendall_tau, window_kendall_tau
+from robustfactors.kendall import _pair_weight_band, _window_kendall_tau, sample_kendall_tau
 from robustfactors.montecarlo import generate_panel, make_scenario, method_configs
 from robustfactors.panel import DataPanel, double_demean
 from robustfactors.rolling import rolling_estimate, write_rolling_csv
@@ -237,8 +237,8 @@ class TestSharedPairWeights:
         result = rolling_estimate(DataPanel(Y), 40, SHARED_CONFIGS)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 40, SHARED_CONFIGS)
         # every window took the shared band
-        band = pair_weight_band(row_demeaned(Y), 40)
-        assert all(window_kendall_tau(band, s) is not None for s in range(81))
+        band = _pair_weight_band(row_demeaned(Y), 40)
+        assert all(_window_kendall_tau(band, s) is not None for s in range(81))
 
     def test_chunked_calls_match_one_call(self):
         Y = t_factor_panel(3.0, seed=8, T=150, N=20)
@@ -255,12 +255,12 @@ class TestSharedPairWeights:
     def test_windows_match_extended_precision_enumeration(self, nu):
         Y = t_factor_panel(nu, seed=11, T=300, N=40)
         for mode, V in (("none", Y), ("double", row_demeaned(Y))):
-            band = pair_weight_band(V, 120)
+            band = _pair_weight_band(V, 120)
             for s in (0, 180):
                 exact = Y[s : s + 120].astype(np.longdouble)
                 if mode == "double":
                     exact -= exact.mean(axis=1, keepdims=True)
-                kt = window_kendall_tau(band, s)
+                kt = _window_kendall_tau(band, s)
                 # t_0.3 rows fall 2^20 below the peak: those windows take their own kernel
                 assert (kt is None) == (nu == 0.3)
                 if kt is None:
@@ -272,9 +272,9 @@ class TestSharedPairWeights:
     def test_near_duplicate_cluster_takes_the_direct_path(self, rng):
         Y = rng.standard_normal((200, 30))
         Y[60:90] = 1e4 * rng.standard_normal(30) + 10.0 * rng.standard_normal((30, 30))
-        band = pair_weight_band(Y, 80)
+        band = _pair_weight_band(Y, 80)
         for s in (20, 50, 100):
-            kt = window_kendall_tau(band, s)
+            kt = _window_kendall_tau(band, s)
             inside = max(0, min(s + 80, 90) - max(s, 60))
             assert kt.direct_pairs == inside * (inside - 1) // 2
             err = float(np.abs(kt.matrix - enumerate_rows(Y[s : s + 80], np.longdouble)[0]).max())
@@ -288,9 +288,9 @@ class TestSharedPairWeights:
         # adds column means of order 1e3 to every row, which rounds each window
         # differently from the row-demeaned band.
         for mode, V in (("none", Y), ("double", row_demeaned(Y))):
-            band = pair_weight_band(V, 50)
+            band = _pair_weight_band(V, 50)
             for s in range(101):
-                kt = window_kendall_tau(band, s)
+                kt = _window_kendall_tau(band, s)
                 ref = sample_kendall_tau(window_inputs(Y, s, 50)[mode])
                 got = (kt.n_pairs, kt.degenerate_pairs_dropped, kt.direct_pairs)
                 assert got == (ref.n_pairs, ref.degenerate_pairs_dropped, ref.direct_pairs)
@@ -316,12 +316,12 @@ class TestSharedPairWeights:
         assert rolling_r_hat(result) == per_window_r_hat(Y, 30, KENDALL_CONFIGS)
         fallbacks = 0
         for mode, V in (("none", Y), ("double", row_demeaned(Y))):
-            band = pair_weight_band(V, 30)
+            band = _pair_weight_band(V, 30)
             row_exp = np.frexp(np.abs(V).max(axis=1))[1]
             for s in range(61):
                 # a window shares the band unless one of its rows peaks more than
                 # 2^20 below the panel's peak
-                kt = window_kendall_tau(band, s)
+                kt = _window_kendall_tau(band, s)
                 assert (kt is not None) == (row_exp[s : s + 30].min() >= row_exp.max() - 20)
                 if kt is None:
                     fallbacks += mode == "double"  # rolling_estimate reads only this band
@@ -333,15 +333,15 @@ class TestSharedPairWeights:
     def test_covariance_configs_build_no_band(self):
         Y = t_factor_panel(3.0, seed=31, T=60, N=15)
         configs = method_configs("er,gr,tcr")
-        with mock.patch.object(rolling, "pair_weight_band", side_effect=AssertionError("band")):
+        with mock.patch.object(rolling, "_pair_weight_band", side_effect=AssertionError("band")):
             result = rolling_estimate(DataPanel(Y), 25, configs)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 25, configs)
 
     def test_covered_kendall_windows_are_not_demeaned(self):
         Y = t_factor_panel(1.0, seed=37, T=60, N=15)
         configs = method_configs("mker,mktcr")
-        band = pair_weight_band(row_demeaned(Y), 25)
-        assert all(window_kendall_tau(band, s) is not None for s in range(36))
+        band = _pair_weight_band(row_demeaned(Y), 25)
+        assert all(_window_kendall_tau(band, s) is not None for s in range(36))
         expected = per_window_r_hat(Y, 25, configs)
         with mock.patch.object(estimators, "_double_demean", side_effect=AssertionError("demean")):
             result = rolling_estimate(DataPanel(Y), 25, configs)
@@ -360,12 +360,12 @@ class TestSharedPairWeights:
     def test_bounds_checked(self, rng):
         Y = rng.standard_normal((20, 4))
         with pytest.raises(ValueError, match="window must be in"):
-            pair_weight_band(Y, 21)
-        band = pair_weight_band(Y, 8)
+            _pair_weight_band(Y, 21)
+        band = _pair_weight_band(Y, 8)
         with pytest.raises(ValueError, match="window start"):
-            window_kendall_tau(band, 13)
+            _window_kendall_tau(band, 13)
         with pytest.raises(ValueError, match="degenerate"):
-            window_kendall_tau(pair_weight_band(np.ones((20, 4)), 8), 0)
+            _window_kendall_tau(_pair_weight_band(np.ones((20, 4)), 8), 0)
 
 
 def old_eigenvalues_sym(A):
@@ -446,14 +446,14 @@ class TestDecisionCore:
         core = rolling._decide
         with mock.patch.object(rolling, "_decide", record):
             result = rolling_estimate(DataPanel(Y), window, CORE_CONFIGS)
-        band = pair_weight_band(row_demeaned(Y), window)
-        covered = [window_kendall_tau(band, s) is not None for s in range(61)]
+        band = _pair_weight_band(row_demeaned(Y), window)
+        covered = [_window_kendall_tau(band, s) is not None for s in range(61)]
         assert any(covered) and not all(covered)
         assert len(decisions) == 61
         for start, (got, row) in enumerate(zip(decisions, result.rows)):
             ref = old_estimate_many(
                 DataPanel(Y[start : start + window]), CORE_CONFIGS,
-                lambda mode: window_kendall_tau(band, start),
+                lambda mode: _window_kendall_tau(band, start),
             )
             assert row[1:] == tuple(ref[m].r_hat for m in CORE_CONFIGS)
             for m, res in ref.items():

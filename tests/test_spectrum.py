@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import types
 import warnings
 
 import numpy as np
@@ -82,8 +83,18 @@ class TestLapackBinding:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        exported = any(hasattr(lib, name) for name in ("scipy_dsyevd_64_", "dsyevd_64_"))
+        exported = hasattr(lib, "scipy_dsyevd_64_")
         assert (spectrum._eigvalsh is not np.linalg.eigvalsh) == exported
+
+    @pytest.mark.parametrize("handle", ["unloadable", "no dsyevd"])
+    def test_falls_back_to_numpy_without_the_routine(self, monkeypatch, handle):
+        def cdll(path):
+            if handle == "unloadable":
+                raise OSError(f"{path}: cannot open shared object file")
+            return types.SimpleNamespace()  # a library that exports no dsyevd
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert spectrum._bind_eigvalsh() is np.linalg.eigvalsh
 
     def test_bytes_match_numpy_at_every_size(self):
         gen = np.random.default_rng(7)

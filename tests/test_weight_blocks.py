@@ -1,6 +1,6 @@
 """The one row-block driver of the Kendall kernel, held byte for byte to the two loops it replaced.
 
-``_pair_sum`` and ``pair_weight_band`` used to write their own row-block
+``_pair_sum`` and ``_pair_weight_band`` used to write their own row-block
 loops, pair masks, fix-up rule and drop rule. The functions below are
 verbatim copies of those loops, kept as the reference: the whole-panel
 matrix, every field of the band and the window matrices read from it must
@@ -18,14 +18,14 @@ from robustfactors.kendall import (
     _FIXUP_FLOOR,
     _FIXUP_TAU,
     _SHARED_RANGE_BITS,
-    PairWeightBand,
+    _PairWeightBand,
     _average,
     _flat_view,
     _frame,
+    _pair_weight_band,
     _panel_values,
-    pair_weight_band,
+    _window_kendall_tau,
     sample_kendall_tau,
-    window_kendall_tau,
 )
 
 
@@ -109,7 +109,7 @@ def reference_band(panel, window):
     else:
         pair_rows = pair_cols = np.zeros(0, dtype=np.intp)
         pair_diffs, pair_sq = np.zeros((0, Z.shape[1])), np.zeros(0)
-    return PairWeightBand(
+    return _PairWeightBand(
         Z=Z, weights=weights, window=window, pair_rows=pair_rows, pair_cols=pair_cols,
         pair_diffs=pair_diffs, pair_sq=pair_sq, far_rows=np.concatenate(([0], np.cumsum(far))),
     )
@@ -188,7 +188,7 @@ def test_band_and_windows_match_the_old_loop(label, Y):
     T = Y.shape[0]
     gen = np.random.default_rng(7)
     for window in _windows(T):
-        got, want = pair_weight_band(Y, window), reference_band(Y, window)
+        got, want = _pair_weight_band(Y, window), reference_band(Y, window)
         assert got.window == want.window
         for field in ("Z", "weights", "pair_rows", "pair_cols", "pair_diffs", "pair_sq",
                       "far_rows"):
@@ -197,7 +197,7 @@ def test_band_and_windows_match_the_old_loop(label, Y):
         last = T - window
         starts = {0, last // 2, last, *gen.integers(0, last + 1, size=3).tolist()}
         for start in sorted(starts):
-            kt = window_kendall_tau(got, start)
+            kt = _window_kendall_tau(got, start)
             # None exactly where the old rule kept the window off the band
             assert (kt is not None) == reference_covers(want, start), (window, start)
             if kt is not None:
