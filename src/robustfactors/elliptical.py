@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import NumericalError
+from ._errors import NumericalError, _check_integers
 
 __all__ = [
     "EllipticalSpec",
@@ -49,6 +49,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        _check_integers(master_seed=self.master_seed, stream_index=self.stream_index)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.stream_index < 0:

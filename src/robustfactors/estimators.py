@@ -10,12 +10,12 @@ allowed, via the mock eigenvalue).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._errors import _check_integers
 from ._helper import _beside, _outcome
 from .kendall import sample_kendall_tau
 from .panel import DataPanel, _double_demean
@@ -63,21 +63,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
-        _check_integers(self, "k_max")
+        _check_integers(k_max=self.k_max)
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-
-
-def _check_integers(settings, *names: str) -> None:
-    """Raise ValueError naming the first of the settings that operator.index refuses."""
-    for name in names:
-        value = getattr(settings, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity

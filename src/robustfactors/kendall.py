@@ -262,7 +262,7 @@ def _flat_view(weights: np.ndarray, offset: int, shape, steps) -> np.ndarray:
     )
 
 
-def _pair_weight_band(panel, window: int) -> _PairWeightBand:
+def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
     """Weights w_ij = 1/|z_i - z_j|^2 of every row pair with 0 < j - i < window, once.
 
     The panel is rescaled and median-centered once, as in
@@ -272,15 +272,13 @@ def _pair_weight_band(panel, window: int) -> _PairWeightBand:
 
     Parameters
     ----------
-    panel : DataPanel or np.ndarray
+    Y : np.ndarray
         T x N observations, no missing values.
     window : int
-        2 <= window <= T.
+        2 <= window <= T; :func:`~robustfactors.rolling.rolling_estimate`,
+        the one caller, checks it.
     """
-    Y = _panel_values(panel)
     T = Y.shape[0]
-    if not 2 <= window <= T:
-        raise ValueError(f"window must be in [2, {T}], got {window}")
     Z = _frame(Y)
     row_peak = np.abs(Y).max(axis=1)
     low = np.frexp(row_peak.max())[1] - _SHARED_RANGE_BITS
@@ -324,11 +322,11 @@ def _window_kendall_tau(band: _PairWeightBand, start: int) -> KendallTauMatrix |
     :func:`sample_kendall_tau`. The rule reads row peaks only: rows whose
     level stays while their spread collapses still count as covered, and the
     panel-wide centering rounds them at the scale of their level.
+
+    ``0 <= start <= T - window``, as :func:`~robustfactors.rolling.rolling_estimate`
+    checks.
     """
     w = band.window
-    T = band.Z.shape[0]
-    if not 0 <= start <= T - w:
-        raise ValueError(f"window start must be in [0, {T - w}], got {start}")
     stop = start + w
     if band.far_rows[stop] != band.far_rows[start]:
         return None

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._errors import _check_integers
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
-from .estimators import ALL_METHODS, EstimatorConfig, _check_integers, _check_size, _decide
+from .estimators import ALL_METHODS, EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
 
 __all__ = [
@@ -81,7 +82,7 @@ class ScenarioSpec:
             raise ValueError(f"scenario {self.name} fixes its distribution ({fixed_dist})")
         if size is not None and not self.N == self.T == size:
             raise ValueError(f"scenario {self.name} fixes N = T = {size}")
-        _check_integers(self, "N", "T", "reps")
+        _check_integers(N=self.N, T=self.T, reps=self.reps)
         if self.N < 2 or self.T < 2:
             raise ValueError("N and T must be >= 2")
         if self.dist not in DIST_CHOICES:
@@ -162,6 +163,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     Loadings are redrawn per replication (lane 2); the joint (F_t, v_t) draw
     uses the sampler lanes.
     """
+    _check_integers(replication=replication)
     if replication < 0:
         raise ValueError("replication must be >= 0")
     stream = RngStream(rng.master_seed, rng.stream_index + replication)

@@ -1,8 +1,8 @@
 """Data panel representation, CSV ingestion, imputation, and demeaning.
 
 A panel is a T x N matrix of observations: rows are time points, columns are
-series. Every estimator in this package consumes a :class:`DataPanel`, usually
-after :func:`double_demean`.
+series, and a NaN cell is missing. Every estimator in this package consumes a
+complete :class:`DataPanel` (impute first) and double-demeans it itself.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,22 +53,19 @@ _CHUNK_ROWS = 64
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class DataPanel:
-    """T x N observation matrix with optional time labels and missing mask.
+    """T x N observation matrix with optional time labels; a NaN cell is missing.
 
     Parameters
     ----------
     values : np.ndarray
-        T x N float matrix; rows are time points, columns are series.
+        T x N float matrix; rows are time points, columns are series. NaN
+        marks a missing cell; an infinite cell is rejected.
     time_labels : list of str, optional
         One label per row; opaque strings, never parsed.
-    missing_mask : np.ndarray, optional
-        T x N boolean mask, True where the value is missing. Defaults to
-        all-False.
     """
 
     values: np.ndarray
     time_labels: list[str] | None = None
-    missing_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -77,23 +74,20 @@ class DataPanel:
         T, N = values.shape
         if T < 2 or N < 2:
             raise ValueError(f"panel must be at least 2 x 2, got {T} x {N}")
-        mask = self.missing_mask
-        if mask is None:
-            mask = np.zeros((T, N), dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (T, N):
-                raise ValueError("missing_mask shape must match values")
-        if not (np.isfinite(values) | mask).all():
+        if np.isinf(values).any():
             raise ValueError("non-missing panel cells must be finite")
         if self.time_labels is not None and len(self.time_labels) != T:
             raise ValueError("time_labels length must equal row count")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "missing_mask", mask)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def missing_mask(self) -> np.ndarray:
+        """T x N boolean array, True where a cell is missing (NaN)."""
+        return np.isnan(self.values)
 
     @property
     def has_missing(self) -> bool:
@@ -148,8 +142,7 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     Returns
     -------
     DataPanel
-        Missing cells are flagged in the mask and hold NaN; column order is
-        preserved.
+        Missing cells hold NaN; column order is preserved.
 
     Notes
     -----
@@ -164,7 +157,7 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     every other plain file. Past 64 data lines that parse is shared with the
     package's one helper thread (see :mod:`robustfactors._helper`). Every
     other file is read cell by cell; only that parser raises on a cell, and
-    all readers give the same value bytes, mask, labels and messages.
+    all readers give the same value bytes, labels and messages.
     """
     with open(path, "rb") as fh:
         try:
@@ -228,7 +221,7 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
             return None
     if values.shape[1] < 2 or np.isinf(values).any():
         return None
-    return DataPanel(values, time_labels=labels, missing_mask=np.isnan(values))
+    return DataPanel(values, time_labels=labels)
 
 
 def _has_long_cells(line: str) -> bool:
@@ -344,12 +337,7 @@ def _read_cells(text: str, path, has_header: bool, has_time_column: bool) -> Dat
         raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if width is None or width < 2:
         raise ValueError(f"{path}: need at least 2 columns, got {width or 0}")
-    values = np.array(rows, dtype=np.float64)
-    return DataPanel(
-        values,
-        time_labels=labels if has_time_column else None,
-        missing_mask=np.isnan(values),
-    )
+    return DataPanel(np.array(rows, dtype=np.float64), labels if has_time_column else None)
 
 
 def _records(text: str, path):
@@ -364,9 +352,9 @@ def _records(text: str, path):
 
 
 def impute_column_mean(panel: DataPanel) -> DataPanel:
-    """Replace missing cells with the mean of the non-missing cells of their column.
+    """Replace missing (NaN) cells with the mean of the non-missing cells of their column.
 
-    Non-missing cells are unchanged; the returned panel has an all-false mask.
+    Non-missing cells are unchanged; the returned panel has no missing cell.
     Raises ValueError if some column is entirely missing.
     """
     values = panel.values.copy()

@@ -44,6 +44,14 @@ class TestRngStream:
         with pytest.raises(ValueError, match="^master_seed must be nonnegative$"):
             RngStream(seed, 0)
 
+    def test_non_integer_seeds_rejected(self):
+        # at construction, not inside numpy's SeedSequence at first draw
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
+            RngStream(1.5)
+        with pytest.raises(ValueError, match="^stream_index must be an integer, got 1.5$"):
+            RngStream(0, 1.5)
+        assert RngStream(np.int64(3), np.uint8(1)) == RngStream(3, 1)
+
     def test_lanes_are_independent(self):
         rng = RngStream(5, 0)
         a = rng.generator(0).standard_normal(100)

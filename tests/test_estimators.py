@@ -25,7 +25,7 @@ from robustfactors.estimators import (
     estimate_many,
 )
 from robustfactors.kendall import _pair_weight_band, sample_kendall_tau
-from robustfactors.panel import DataPanel, ingest_csv
+from robustfactors.panel import DataPanel, impute_column_mean, ingest_csv
 from robustfactors.rolling import rolling_estimate
 from robustfactors.spectrum import build_spectrum
 
@@ -339,7 +339,7 @@ class TestEndToEnd:
     def test_missing_values_rejected(self, rng):
         values = rng.standard_normal((20, 10))
         values[3, 4] = np.nan
-        panel = DataPanel(values, missing_mask=np.isnan(values))
+        panel = DataPanel(values)
         with pytest.raises(ValueError, match="impute"):
             estimate(panel, EstimatorConfig(method="mker", k_max=3))
 
@@ -439,9 +439,24 @@ def repr_csv(path, rng, rows=200):
     return path
 
 
+def test_array_with_nan_matches_csv_with_empty_cells(tmp_path, rng):
+    """A NaN in an array and an empty CSV cell are the same missing cell: the
+    panel of series that start late decides the same, byte for byte."""
+    values = factor_panel(rng, 90, 12, r=2).values
+    values[:7, 0] = values[:15, 5] = values[:3, 11] = np.nan
+    path = tmp_path / "late.csv"
+    path.write_text("".join(
+        ",".join("" if math.isnan(x) else repr(float(x)) for x in row) + "\n" for row in values
+    ))
+    from_array = impute_column_mean(DataPanel(values))
+    from_csv = impute_column_mean(ingest_csv(path, has_header=False))
+    assert from_array.values.tobytes() == from_csv.values.tobytes()
+    assert fingerprint(estimate_many(from_array, FIVE)) == fingerprint(estimate_many(from_csv, FIVE))
+
+
 def read_fingerprint(path):
     panel = ingest_csv(path)
-    return panel.values.tobytes(), panel.missing_mask.tobytes()
+    return panel.values.tobytes()  # NaN marks the missing cells
 
 
 def estimate_in_child(values, want, path, want_read):

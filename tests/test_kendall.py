@@ -101,7 +101,7 @@ class TestKernelValue:
         np.testing.assert_array_equal(kt.matrix, sample_kendall_tau(values).matrix)
         values2 = values.copy()
         values2[0, 0] = np.nan
-        panel = DataPanel(values2, missing_mask=np.isnan(values2))
+        panel = DataPanel(values2)
         with pytest.raises(ValueError, match="impute"):
             sample_kendall_tau(panel)
 

@@ -94,6 +94,14 @@ class TestScenarioSpec:
             direct_spec(**{knob: "3"})
         assert getattr(direct_spec(**{knob: np.int64(3)}), knob) == 3
 
+    def test_non_integer_seeds_rejected(self):
+        """Rejected before any draw, not later inside numpy."""
+        spec = direct_spec()
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 2.5$"):
+            run_scenario(spec, method_configs("er", k_max=2), master_seed=2.5)
+        with pytest.raises(ValueError, match="^replication must be an integer, got 1.5$"):
+            generate_panel(spec, 1.5, RngStream(0))
+
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError, match="^snr must be finite$"):
             make_scenario("B3", snr=np.inf)

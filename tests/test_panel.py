@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import decimal
 import math
 import threading
@@ -25,7 +26,7 @@ def write_csv(tmp_path, text, name="panel.csv"):
 
 def reference_ingest_csv(path, has_header=True, has_time_column=False):
     """The cell-by-cell parser that ingest_csv replaced, kept as its oracle."""
-    rows, mask_rows, labels = [], [], []
+    rows, labels = [], []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -45,12 +46,11 @@ def reference_ingest_csv(path, has_header=True, has_time_column=False):
                 raise ValueError(
                     f"{path}: row {lineno} has {len(record)} columns, expected {width}"
                 )
-            vals, miss = [], []
+            vals = []
             for colno, cell in enumerate(record, start=1):
                 token = cell.strip()
                 if token.lower() in {"", "na", "nan"}:
                     vals.append(np.nan)
-                    miss.append(True)
                     continue
                 try:
                     x = float(token)
@@ -63,16 +63,13 @@ def reference_ingest_csv(path, has_header=True, has_time_column=False):
                         f"{path}: non-finite value at row {lineno}, column {colno}"
                     )
                 vals.append(x)
-                miss.append(False)
             rows.append(vals)
-            mask_rows.append(miss)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if width is None or width < 2:
         raise ValueError(f"{path}: need at least 2 columns, got {width or 0}")
     values = np.array(rows, dtype=np.float64)
-    mask = np.array(mask_rows, dtype=bool)
-    return DataPanel(values, time_labels=labels if has_time_column else None, missing_mask=mask)
+    return DataPanel(values, time_labels=labels if has_time_column else None)
 
 
 def parse_outcome(parser, path, has_header, has_time_column):
@@ -782,17 +779,21 @@ class TestDataPanel:
         with pytest.raises(ValueError, match="at least 2 x 2"):
             DataPanel(np.zeros((1, 5)))
 
-    def test_unmasked_nan_rejected(self):
+    def test_nan_marks_a_missing_cell(self):
         values = np.array([[1.0, np.nan], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="finite"):
-            DataPanel(values)
-        # the same NaN is fine when the mask covers it
-        mask = np.array([[False, True], [False, False]])
-        assert DataPanel(values, missing_mask=mask).has_missing
+        panel = DataPanel(values)
+        assert panel.has_missing
+        np.testing.assert_array_equal(panel.missing_mask, [[False, True], [False, False]])
+        assert not DataPanel(np.zeros((2, 2))).has_missing
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^non-missing panel cells must be finite$"):
+                DataPanel(np.array([[1.0, bad], [3.0, 4.0]]))
 
-    def test_mask_shape_checked(self):
-        with pytest.raises(ValueError, match="mask"):
-            DataPanel(np.zeros((2, 2)), missing_mask=np.zeros((3, 2), dtype=bool))
+    def test_missing_mask_keyword_rejected(self):
+        # NaN is the one mark of a missing cell; the panel stores no second copy
+        assert [f.name for f in dataclasses.fields(DataPanel)] == ["values", "time_labels"]
+        with pytest.raises(TypeError, match="missing_mask"):
+            DataPanel(np.zeros((2, 2)), missing_mask=np.zeros((2, 2), dtype=bool))
 
     def test_label_length_checked(self):
         with pytest.raises(ValueError, match="time_labels"):
@@ -802,8 +803,7 @@ class TestDataPanel:
 class TestImpute:
     def test_column_mean_of_observed(self):
         values = np.array([[1.0, 10.0], [np.nan, 20.0], [3.0, np.nan]])
-        mask = np.isnan(values)
-        out = impute_column_mean(DataPanel(values, missing_mask=mask))
+        out = impute_column_mean(DataPanel(values))
         np.testing.assert_allclose(out.values, [[1, 10], [2, 20], [3, 15]])
         assert not out.has_missing
 
@@ -815,14 +815,13 @@ class TestImpute:
 
     def test_all_missing_column_rejected(self):
         values = np.array([[np.nan, 1.0], [np.nan, 2.0]])
-        mask = np.isnan(values)
         with pytest.raises(ValueError, match="entirely missing"):
-            impute_column_mean(DataPanel(values, missing_mask=mask))
+            impute_column_mean(DataPanel(values))
 
     def test_error_names_the_first_entirely_missing_column(self):
         values = np.array([[1.0, np.nan, 5.0, np.nan], [np.nan, np.nan, 6.0, np.nan]])
         with pytest.raises(ValueError, match="column 1 is entirely missing"):
-            impute_column_mean(DataPanel(values, missing_mask=np.isnan(values)))
+            impute_column_mean(DataPanel(values))
 
     def test_bytes_match_the_every_column_loop(self, rng):
         for _ in range(20):
@@ -834,12 +833,12 @@ class TestImpute:
                 if mask[:, j].any():
                     expected[mask[:, j], j] = values[~mask[:, j], j].mean()
             values[mask] = np.nan
-            out = impute_column_mean(DataPanel(values, missing_mask=mask))
+            out = impute_column_mean(DataPanel(values))
             assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
 
     def test_labels_survive(self):
         values = np.array([[1.0, np.nan], [2.0, 4.0]])
-        panel = DataPanel(values, time_labels=["a", "b"], missing_mask=np.isnan(values))
+        panel = DataPanel(values, time_labels=["a", "b"])
         assert impute_column_mean(panel).time_labels == ["a", "b"]
 
 
@@ -856,7 +855,7 @@ class TestDoubleDemean:
 
     def test_rejects_missing(self):
         values = np.array([[1.0, np.nan], [2.0, 4.0]])
-        panel = DataPanel(values, missing_mask=np.isnan(values))
+        panel = DataPanel(values)
         with pytest.raises(ValueError, match="impute"):
             double_demean(panel)
 
@@ -888,6 +887,6 @@ class TestDoubleDemean:
 
     def test_impute_then_demean_pipeline(self):
         values = np.array([[1.0, np.nan, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, np.nan]])
-        panel = DataPanel(values, missing_mask=np.isnan(values))
+        panel = DataPanel(values)
         out = double_demean(impute_column_mean(panel))
         assert np.all(np.isfinite(out.values))
