@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from robustfactors.montecarlo import (
     write_report_csv,
 )
 
+from accuracy_record import CELLS, cell
+from accuracy_record import rows as accuracy_rows
 from scenario_oracle import loop_generate_panel, reference_make_scenario
 
 
@@ -410,6 +413,26 @@ class TestRunScenario:
         assert hits[0.7]["mker"] >= hits[0.4]["mker"]
         assert hits[0.7]["er"] >= hits[0.4]["er"]
         assert hits[0.4]["er"] < 60
+
+
+class TestAccuracyRecord:
+    """The cells of tests/accuracy_record.py are those of ``robustfactors simulate``."""
+
+    def test_cell_reproduces_the_simulate_golden(self):
+        report = cell("C1", {"N": 60, "T": 60}, reps=20, master_seed=3)
+        golden = (Path(__file__).parent / "data" / "simulate_c1.txt").read_text()
+        assert format_report_table(report) + "\n" == golden
+
+    def test_rows_count_every_replication(self):
+        rows = accuracy_rows(cell("A", {"dist": "cauchy", "N": 30, "T": 30}, reps=6))
+        assert [row["method"] for row in rows] == list(ALL_METHODS)
+        for row in rows:
+            assert row["cell"] == "A-cauchy 30x30" and row["r"] == 3
+            assert row["under"] + row["over"] + row["exact"] == 6
+
+    def test_sixteen_cells(self):
+        assert len(CELLS) == 16
+        assert len({(name, tuple(knobs.items())) for name, knobs in CELLS}) == 16
 
 
 class TestReports:
