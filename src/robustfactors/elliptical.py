@@ -114,6 +114,7 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
     np.ndarray
         n x d sample matrix.
     """
+    _check_integers(n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     A = spec.scatter_factor

@@ -118,10 +118,10 @@ def estimate_many(
 ) -> dict[str, EstimationResult]:
     """Run several configurations on one panel, sharing matrix work.
 
-    Each path double-demeans the panel once and builds its matrix, Kendall's
-    tau or Gram, at most once, and each regularized spectrum is built once
-    per (matrix, c); configs that differ only in k_max, allow_zero or the
-    criterion share them, which makes k_max sweeps nearly free.
+    Each path demeans the panel once (Kendall: rows; Gram: rows and columns)
+    and builds its matrix at most once, and each regularized spectrum is
+    built once per (matrix, c); configs that differ only in k_max, allow_zero
+    or the criterion share them, which makes k_max sweeps nearly free.
     """
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
@@ -145,8 +145,8 @@ def _decide(Y, configs, kendall=None) -> dict[str, EstimationResult]:
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
     on its shape; neither is checked again. ``kendall`` is None, or a
     function of no arguments that returns the Kendall's tau matrix of the
-    double-demeaned ``Y`` or None; where there is no matrix, it is
-    :func:`sample_kendall_tau` of that panel.
+    row-demeaned ``Y``; without it, that matrix is :func:`sample_kendall_tau`
+    of the row-demeaned panel.
 
     The Gram path (double demean, product, eigensolver) runs on the
     :mod:`._helper` thread while the Kendall path runs here; each demeans
@@ -183,9 +183,8 @@ def _path(config: EstimatorConfig) -> str:
 
 
 def _kendall_path(Y, kendall) -> np.ndarray:
-    kt = kendall() if kendall else None
-    if kt is None:  # no band, or a window its band does not cover
-        kt = sample_kendall_tau(_double_demean(Y))
+    # row demeaning only: a column shift cancels in every row difference
+    kt = kendall() if kendall else sample_kendall_tau(Y - Y.mean(axis=1, keepdims=True))
     return eigenvalues_sym(kt.matrix)
 
 
@@ -197,7 +196,7 @@ def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
     """End to end: demean, build the method's matrix, extract the spectrum, decide.
 
     MKER/MKTCR run on the sample multivariate Kendall's tau matrix of the
-    double-demeaned panel; ER/GR/TCR run on the covariance-path Gram
-    spectrum of the same panel.
+    row-demeaned panel; ER/GR/TCR run on the covariance-path Gram spectrum
+    of the double-demeaned panel.
     """
     return estimate_many(panel, {config.method: config})[config.method]

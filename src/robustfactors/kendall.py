@@ -26,15 +26,14 @@ _BLOCK_ROWS = 64
 _BLOCK_ENTRIES = 1 << 18
 # A pair goes to the direct sum when its Gram distance s_ij = |z_i|^2 + |z_j|^2
 # - 2 z_i.z_j is at most this share of |z_i|^2 + |z_j|^2: the subtraction then
-# loses about log2(1/_FIXUP_TAU) = 10 bits, which the direct difference does not.
-_FIXUP_TAU = 2.0**-10
+# loses about log2(1/_FIXUP_TAU) = 8 bits, which the direct difference does not.
+# With 2^-10, windows whose rows collapse to a level vector (spread/level near
+# 1e-3) missed the 1e-15 enumeration bound through the pairs just above it.
+_FIXUP_TAU = 2.0**-8
 # Pairs with a Gram distance at most this small are summed directly too: their
 # weight 1/s_ij, and the sums of such weights, would overflow. Only rows within
 # about 2^-500 of the median, in units of the panel's peak, form such pairs.
 _FIXUP_FLOOR = 2.0**-1000
-# A row window takes its weights from a band shared with other windows only
-# when each of its rows peaks within 2^_SHARED_RANGE_BITS of the panel's peak.
-_SHARED_RANGE_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
@@ -50,8 +49,9 @@ class KendallTauMatrix:
     degenerate_pairs_dropped : int
         Zero-difference pairs dropped before averaging.
     direct_pairs : int
-        Retained pairs summed from their difference vector because their
-        Gram distance lost digits; the rest go through the Laplacian form.
+        Retained pairs whose Gram distance lost digits, summed instead from
+        the difference of the two rows as given; the rest go through the
+        Laplacian form.
     """
 
     matrix: np.ndarray
@@ -122,15 +122,21 @@ def _weight_blocks(Z: np.ndarray, width: int):
         yield a, b, c, pairs, W, fix
 
 
-def _direct_pairs(Zb, Zc, fix):
+def _direct_pairs(Yb, Yc, fix):
     """Block row, block column, D and |D|^2 of each pair marked in ``fix``.
 
-    D is z_i - z_j times the power of two that brings its largest magnitude
-    into [1/2, 1). That leaves outer(D, D)/|D|^2 unchanged to the bit and
-    keeps |D|^2 from underflowing, so |D|^2 is 0 only when the rows are equal.
+    Yb and Yc are the rows :func:`_frame` was given: its centering would round
+    near-equal rows far from the median at the median's scale. y_i - y_j is
+    taken at the power of two of the pair's larger row peak, so it can neither
+    overflow nor underflow, and D is it times the power of two that brings its
+    largest magnitude into [1/2, 1). Neither scaling moves outer(D, D)/|D|^2,
+    and |D|^2 is 0 only when the rows are equal.
     """
     rows, cols = np.nonzero(fix)
-    D = Zb[rows] - Zc[cols]
+    A, B = Yb[rows], Yc[cols]
+    peak = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(B).max(axis=1, initial=0.0))
+    e = -np.frexp(peak)[1][:, None]
+    D = np.ldexp(A, e) - np.ldexp(B, e)
     D = np.ldexp(D, -np.frexp(np.abs(D).max(axis=1, initial=0.0))[1][:, None])
     return rows, cols, D, np.einsum("ij,ij->i", D, D)
 
@@ -142,15 +148,16 @@ def _direct_sum(D, d2) -> tuple[np.ndarray, int, int]:
     return D.T @ (D / d2[:, None]), int(kept.size - d2.size), int(d2.size)
 
 
-def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Sum of outer(d, d)/|d|^2 over the row pairs of Z, plus dropped and direct counts.
+def _pair_sum(Y: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Sum of outer(d, d)/|d|^2 over the row pairs of Y, plus dropped and direct counts.
 
-    Z comes from :func:`_frame`. With w_ij = 1/|z_i - z_j|^2 on i < j, the sum
+    With Z = :func:`_frame` (Y) and w_ij = 1/|z_i - z_j|^2 on i < j, the sum
     equals Z^T diag(deg) Z - (Z^T W Z + its transpose), deg_i being the total
     weight of the pairs that contain row i. Row blocks of W come from
-    :func:`_weight_blocks`; the pairs it leaves out are added directly, and
-    exactly equal rows are dropped.
+    :func:`_weight_blocks`; the pairs it leaves out are added directly from
+    the rows of Y, and exactly equal rows are dropped.
     """
+    Z = _frame(Y)
     T, N = Z.shape
     deg = np.zeros(T)
     cross = np.zeros((N, N))
@@ -161,7 +168,7 @@ def _pair_sum(Z: np.ndarray) -> tuple[np.ndarray, int, int]:
         deg[a:] += W.sum(axis=0)
         cross += Z[a:b].T @ (W @ Z[a:])
         if fix.any():
-            _, _, D, d2 = _direct_pairs(Z[a:b], Z[a:], fix)
+            _, _, D, d2 = _direct_pairs(Y[a:b], Y[a:], fix)
             block, n_drop, n_kept = _direct_sum(D, d2)
             direct += block
             dropped += n_drop
@@ -191,8 +198,9 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
     magnitude into [1/2, 1), which is exact and leaves the matrix unchanged,
     and then centered by its coordinatewise median, which cancels in every
     row difference. The sum is computed in O(T^2 N) as a graph-Laplacian
-    quadratic form (see :func:`_pair_sum`). At a fixed BLAS thread count the
-    bytes are the same on every call.
+    quadratic form (see :func:`_pair_sum`); the pairs whose Gram distance
+    loses digits are summed directly from the rows of ``panel``. At a fixed
+    BLAS thread count the bytes are the same on every call.
 
     Parameters
     ----------
@@ -207,7 +215,7 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
     T = Y.shape[0]
     if T < 2:
         raise ValueError("need at least two rows to form pairs")
-    total, dropped, n_direct = _pair_sum(_frame(Y))
+    total, dropped, n_direct = _pair_sum(Y)
     return _average(total, T, dropped, n_direct)
 
 
@@ -230,11 +238,9 @@ class _PairWeightBand:
     pair_rows, pair_cols : np.ndarray
         Rows i < j of the pairs summed directly or dropped.
     pair_diffs, pair_sq : np.ndarray
-        Their z_i - z_j, scaled by a power of two (see :func:`_direct_pairs`),
-        and its squared norm; a pair with norm 0 is dropped.
-    far_rows : np.ndarray
-        far_rows[t] counts the rows before t whose peak lies more than
-        2^_SHARED_RANGE_BITS below the panel's.
+        Their y_i - y_j, from the rows of the panel as given and scaled by
+        powers of two (see :func:`_direct_pairs`), and its squared norm; a
+        pair with norm 0 is dropped.
     """
 
     Z: np.ndarray
@@ -244,7 +250,6 @@ class _PairWeightBand:
     pair_cols: np.ndarray
     pair_diffs: np.ndarray
     pair_sq: np.ndarray
-    far_rows: np.ndarray
 
 
 def _flat_view(weights: np.ndarray, offset: int, shape, steps) -> np.ndarray:
@@ -267,8 +272,9 @@ def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
 
     The panel is rescaled and median-centered once, as in
     :func:`sample_kendall_tau`, and the weights are built in row blocks from
-    the same Gram distances, with the same pairs summed directly and the same
-    equal rows dropped. Memory is O(T window), not O(T^2).
+    the same Gram distances, with the same pairs summed directly from the
+    rows of Y and the same equal rows dropped. Memory is O(T window), not
+    O(T^2).
 
     Parameters
     ----------
@@ -280,9 +286,6 @@ def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
     """
     T = Y.shape[0]
     Z = _frame(Y)
-    row_peak = np.abs(Y).max(axis=1)
-    low = np.frexp(row_peak.max())[1] - _SHARED_RANGE_BITS
-    far = (row_peak > 0.0) & (np.frexp(row_peak)[1] < low)
     L = 2 * window - 1
     weights = np.zeros((T, L))
     pairs_out = []
@@ -292,7 +295,7 @@ def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
         np.copyto(_flat_view(weights, base, W.shape, (L - 1, 1)), W, where=pairs)
         np.copyto(_flat_view(weights, base, W.shape, (1, L - 1)), W, where=pairs)
         if fix.any():
-            rows, cols, D, d2 = _direct_pairs(Z[a:b], Z[a:c], fix)
+            rows, cols, D, d2 = _direct_pairs(Y[a:b], Y[a:c], fix)
             pairs_out.append((a + rows, a + cols, D, d2))
     if pairs_out:
         pair_rows, pair_cols, pair_diffs, pair_sq = (np.concatenate(x) for x in zip(*pairs_out))
@@ -301,35 +304,25 @@ def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
         pair_diffs, pair_sq = np.zeros((0, Z.shape[1])), np.zeros(0)
     return _PairWeightBand(
         Z=Z, weights=weights, window=window, pair_rows=pair_rows, pair_cols=pair_cols,
-        pair_diffs=pair_diffs, pair_sq=pair_sq, far_rows=np.concatenate(([0], np.cumsum(far))),
+        pair_diffs=pair_diffs, pair_sq=pair_sq,
     )
 
 
-def _window_kendall_tau(band: _PairWeightBand, start: int) -> KendallTauMatrix | None:
+def _window_kendall_tau(band: _PairWeightBand, start: int) -> KendallTauMatrix:
     """Kendall's tau matrix of rows start, ..., start + window - 1, from the band.
 
     With W_w the window's block of pair weights and deg_w its row sums, the
     pair sum is Z_w^T (deg_w Z_w - W_w Z_w) plus the window's direct pairs:
     two GEMMs, against the Gram product, masks and division that
-    :func:`sample_kendall_tau` spends on every window. It agrees with
-    :func:`sample_kendall_tau` on the window's rows to rounding: 1e-15 per
-    entry in the tests.
-
-    None means the band does not cover the window: some row of it peaks more
-    than 2^_SHARED_RANGE_BITS below the panel's peak. Such a window, for
-    example one across a regime change by many orders of magnitude, needs its
-    own rescale and centering, so its matrix should come from
-    :func:`sample_kendall_tau`. The rule reads row peaks only: rows whose
-    level stays while their spread collapses still count as covered, and the
-    panel-wide centering rounds them at the scale of their level.
+    :func:`sample_kendall_tau` spends on every window. Every window reads the
+    band, also across a regime change by many orders of magnitude: there the
+    pairs whose weights lost digits are direct pairs, from the rows as given.
 
     ``0 <= start <= T - window``, as :func:`~robustfactors.rolling.rolling_estimate`
     checks.
     """
     w = band.window
     stop = start + w
-    if band.far_rows[stop] != band.far_rows[start]:
-        return None
     L = 2 * w - 1
     Ww = _flat_view(band.weights, start * L + w - 1, (w, w), (L - 1, 1))  # W_w, no copy
     Zw = band.Z[start:stop]

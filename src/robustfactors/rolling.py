@@ -6,6 +6,7 @@ import csv
 from dataclasses import dataclass, field
 from functools import partial
 
+from ._errors import _check_integers
 from .estimators import KENDALL_METHODS, _check_size, _decide
 from .kendall import _pair_weight_band, _window_kendall_tau
 from .panel import DataPanel
@@ -34,17 +35,20 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
 
     The panel must be complete (impute first). Windows end at observations
     window, window + 1, ..., T (1-based), giving T - window + 1 rows, each
-    with one r_hat per config; each window is double-demeaned on its own.
+    with one r_hat per config; each window is demeaned on its own, as by
+    :func:`~robustfactors.estimators.estimate_many`.
 
     The panel and configs are validated once per call, not per window. The
     Kendall matrices of all windows come from one
     :func:`~robustfactors.kendall._pair_weight_band` of the row-demeaned
-    panel, built only when some config is a Kendall method; see
+    panel, built only when some config is a Kendall method. Every window
+    reads it, at any scale; see
     :func:`~robustfactors.kendall._window_kendall_tau`.
     """
     if panel.has_missing:
         raise ValueError("panel has missing entries; impute before rolling estimation")
     T = panel.shape[0]
+    _check_integers(window=window)
     if window < 2:
         raise ValueError("window must be >= 2")
     if window > T:
@@ -55,10 +59,9 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
     _check_size((window, panel.shape[1]), configs)
 
-    # One band of pair weights serves every window. Double demeaning a window
-    # subtracts each row's mean, which does not depend on the window, and then
-    # a column shift, which cancels in every row difference; so the
-    # row-demeaned panel stands in for it.
+    # One band of pair weights serves every window. A window's Kendall input is
+    # its row-demeaned rows, and a row's mean does not depend on the window,
+    # so the row-demeaned panel holds every window's input.
     values = panel.values
     band = None
     if any(cfg.method in KENDALL_METHODS for cfg in configs.values()):
@@ -68,8 +71,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
-        # _decide calls it while its helper thread runs the Gram path; a window
-        # the band does not cover (None) gets sample_kendall_tau there
+        # _decide calls it while its helper thread runs the Gram path
         kendall = None if band is None else partial(_window_kendall_tau, band, start)
         results = _decide(values[start : end + 1], configs, kendall)
         label = labels[end] if labels is not None else str(end + 1)

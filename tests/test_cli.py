@@ -166,7 +166,8 @@ class TestEstimate:
             assert all(isinstance(v, float) for v in res["criterion"])
 
     def test_json_matches_golden(self, factor_csv):
-        # captured before the criteria became one ratio formula; every
+        # recaptured when the Kendall path took the row-demeaned panel, which
+        # moved the mker and mktcr criteria in their last digits; every
         # criterion float prints in full, so a last-bit change shows
         proc = run_cli("estimate", "--input", factor_csv, "--json", "--allow-zero")
         assert proc.returncode == 0

@@ -79,6 +79,15 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="^nu must be > 0 and finite"):
                 EllipticalSpec(scatter_factor=np.eye(2), nu=nu)
 
+    def test_non_integer_row_count_rejected(self):
+        # named in the message, not a TypeError from inside numpy's draw
+        spec = EllipticalSpec(scatter_factor=np.eye(2), nu=3.0)
+        with pytest.raises(ValueError, match="^n must be an integer, got 3.5$"):
+            sample_elliptical(spec, 3.5, RngStream(0))
+        np.testing.assert_array_equal(
+            sample_elliptical(spec, np.int64(3), RngStream(0)), sample_elliptical(spec, 3, RngStream(0))
+        )
+
 
 class TestGaussian:
     def test_moments(self):

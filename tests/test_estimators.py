@@ -27,7 +27,7 @@ from robustfactors.estimators import (
 from robustfactors.kendall import _pair_weight_band, sample_kendall_tau
 from robustfactors.panel import DataPanel, impute_column_mean, ingest_csv
 from robustfactors.rolling import rolling_estimate
-from robustfactors.spectrum import build_spectrum
+from robustfactors.spectrum import build_spectrum, eigenvalues_sym
 
 
 def reference_series(raw, N, T, c, method, k_max, allow_zero=False):
@@ -497,8 +497,19 @@ class TestHelperThread:
         assert len(threads) == 1 and threads[0] != threading.get_ident()
 
     def test_each_path_demeans_once(self, rng, monkeypatch):
-        threads = self.demeaning_threads(monkeypatch, factor_panel(rng, 30, 12, r=1), FIVE)
-        assert sorted(t == threading.get_ident() for t in threads) == [False, True]
+        # the Gram path double-demeans on the helper; the Kendall path subtracts
+        # only the row means, since column shifts cancel in row differences
+        panel = factor_panel(rng, 30, 12, r=1)
+        threads = self.demeaning_threads(monkeypatch, panel, FIVE)
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        kendall = {m: EstimatorConfig(method=m, k_max=3) for m in KENDALL_METHODS}
+        assert self.demeaning_threads(monkeypatch, panel, kendall) == []
+
+    def test_kendall_path_reads_the_row_demeaned_panel(self, rng):
+        Y = factor_panel(rng, 40, 15, r=2).values + 50.0 * rng.standard_normal(15)
+        got = estimate_many(DataPanel(Y), {"mker": EstimatorConfig(method="mker", k_max=4)})
+        kt = sample_kendall_tau(Y - Y.mean(axis=1, keepdims=True))
+        assert np.array_equal(got["mker"].spectrum.raw, eigenvalues_sym(kt.matrix))
 
     def test_concurrent_callers_share_the_helper(self, rng, monkeypatch, tmp_path):
         """The CSV reader and the decision core queue their jobs on one helper."""
@@ -533,7 +544,7 @@ class TestHelperThread:
     def test_bytes_do_not_depend_on_the_binding(self, monkeypatch):
         gen = np.random.default_rng(31)
         Y = factor_panel(gen, 70, 24, r=2).values
-        Y[30:36] *= 1e-9  # rows far below the peak: the windows over them fall back
+        Y[30:36] *= 1e-9  # rows far below the peak, whose windows read the band too
         decisions = []
         core = rolling._decide
 

@@ -2,9 +2,12 @@
 
 ``_pair_sum`` and ``_pair_weight_band`` used to write their own row-block
 loops, pair masks, fix-up rule and drop rule. The functions below are
-verbatim copies of those loops, kept as the reference: the whole-panel
-matrix, every field of the band and the window matrices read from it must
-have the same bytes.
+copies of those loops, kept as the reference: the whole-panel matrix, every
+field of the band and the window matrices read from it must have the same
+bytes. They differ from the old loops in two ways, as the kernel does: the
+direct pairs take their difference from the input rows, scaled by the power
+of two of the pair's larger row peak, not from the median-centered rows; and
+the band keeps no coverage rule, since every window reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from robustfactors.kendall import (
     _BLOCK_ROWS,
     _FIXUP_FLOOR,
     _FIXUP_TAU,
-    _SHARED_RANGE_BITS,
     _PairWeightBand,
     _average,
     _flat_view,
@@ -42,15 +44,20 @@ def _block_weights(Zb, Zc, sqb, sqc, pairs):
     return W, fix
 
 
-def _direct_pairs(Zb, Zc, fix):
+def _direct_pairs(Yb, Yc, fix):
     rows, cols = np.nonzero(fix)
-    D = Zb[rows] - Zc[cols]
+    Yi, Yj = Yb[rows], Yc[cols]
+    # each pair at the scale of its larger row, then its difference at its own
+    top = np.maximum(np.abs(Yi).max(axis=1, initial=0.0), np.abs(Yj).max(axis=1, initial=0.0))
+    shift = -np.frexp(top)[1][:, None]
+    D = np.ldexp(Yi, shift) - np.ldexp(Yj, shift)
     D = np.ldexp(D, -np.frexp(np.abs(D).max(axis=1, initial=0.0))[1][:, None])
     d2 = np.einsum("ij,ij->i", D, D)
     return rows, cols, D, d2, d2 > 0.0
 
 
-def _pair_sum(Z):
+def _pair_sum(Y):
+    Z = _frame(Y)
     T, N = Z.shape
     sq = np.einsum("ij,ij->i", Z, Z)
     deg = np.zeros(T)
@@ -69,7 +76,7 @@ def _pair_sum(Z):
         deg[a:] += W.sum(axis=0)
         cross += Zb.T @ (W @ Zc)
         if fix.any():
-            rows, _, D, d2, kept = _direct_pairs(Zb, Zc, fix)
+            rows, _, D, d2, kept = _direct_pairs(Y[a:b], Y[a:], fix)
             D, d2 = D[kept], d2[kept]
             dropped += rows.size - d2.size
             n_direct += d2.size
@@ -82,9 +89,6 @@ def reference_band(panel, window):
     Y = _panel_values(panel)
     T = Y.shape[0]
     Z = _frame(Y)
-    row_peak = np.abs(Y).max(axis=1)
-    low = np.frexp(row_peak.max())[1] - _SHARED_RANGE_BITS
-    far = (row_peak > 0.0) & (np.frexp(row_peak)[1] < low)
     L = 2 * window - 1
     weights = np.zeros((T, L))
     sq = np.einsum("ij,ij->i", Z, Z)
@@ -102,7 +106,7 @@ def reference_band(panel, window):
         np.copyto(_flat_view(weights, base, (b - a, c - a), (L - 1, 1)), W, where=band)
         np.copyto(_flat_view(weights, base, (b - a, c - a), (1, L - 1)), W, where=band)
         if fix.any():
-            rows, cols, D, d2, _ = _direct_pairs(Z[a:b], Z[a:c], fix)
+            rows, cols, D, d2, _ = _direct_pairs(Y[a:b], Y[a:c], fix)
             pairs_out.append((a + rows, a + cols, D, d2))
     if pairs_out:
         pair_rows, pair_cols, pair_diffs, pair_sq = (np.concatenate(x) for x in zip(*pairs_out))
@@ -111,13 +115,8 @@ def reference_band(panel, window):
         pair_diffs, pair_sq = np.zeros((0, Z.shape[1])), np.zeros(0)
     return _PairWeightBand(
         Z=Z, weights=weights, window=window, pair_rows=pair_rows, pair_cols=pair_cols,
-        pair_diffs=pair_diffs, pair_sq=pair_sq, far_rows=np.concatenate(([0], np.cumsum(far))),
+        pair_diffs=pair_diffs, pair_sq=pair_sq,
     )
-
-
-def reference_covers(band, start):
-    """The coverage rule of the band's old ``covers`` method."""
-    return band.far_rows[start + band.window] == band.far_rows[start]
 
 
 def reference_window(band, start):
@@ -178,7 +177,7 @@ def _windows(T):
 @pytest.mark.parametrize("label, Y", PANELS, ids=[p[0] for p in PANELS])
 def test_whole_panel_matrix_matches_the_old_loop(label, Y):
     T = Y.shape[0]
-    total, dropped, n_direct = _pair_sum(_frame(Y))
+    total, dropped, n_direct = _pair_sum(Y)
     want = _average(total, T, dropped, n_direct)
     assert _kendall_bytes(sample_kendall_tau(Y)) == _kendall_bytes(want)
 
@@ -190,20 +189,15 @@ def test_band_and_windows_match_the_old_loop(label, Y):
     for window in _windows(T):
         got, want = _pair_weight_band(Y, window), reference_band(Y, window)
         assert got.window == want.window
-        for field in ("Z", "weights", "pair_rows", "pair_cols", "pair_diffs", "pair_sq",
-                      "far_rows"):
+        for field in ("Z", "weights", "pair_rows", "pair_cols", "pair_diffs", "pair_sq"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
         last = T - window
         starts = {0, last // 2, last, *gen.integers(0, last + 1, size=3).tolist()}
         for start in sorted(starts):
-            kt = _window_kendall_tau(got, start)
-            # None exactly where the old rule kept the window off the band
-            assert (kt is not None) == reference_covers(want, start), (window, start)
-            if kt is not None:
-                assert _kendall_bytes(kt) == _kendall_bytes(
-                    reference_window(want, start)
-                ), (window, start)
+            assert _kendall_bytes(_window_kendall_tau(got, start)) == _kendall_bytes(
+                reference_window(want, start)
+            ), (window, start)
 
 
 def test_the_panels_reach_every_branch():
