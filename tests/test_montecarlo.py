@@ -25,7 +25,7 @@ from robustfactors.montecarlo import (
     write_report_csv,
 )
 
-from accuracy_record import CELLS, cell
+from accuracy_record import cell
 from accuracy_record import rows as accuracy_rows
 from scenario_oracle import loop_generate_panel, reference_make_scenario
 
@@ -429,10 +429,6 @@ class TestAccuracyRecord:
         for row in rows:
             assert row["cell"] == "A-cauchy 30x30" and row["r"] == 3
             assert row["under"] + row["over"] + row["exact"] == 6
-
-    def test_sixteen_cells(self):
-        assert len(CELLS) == 16
-        assert len({(name, tuple(knobs.items())) for name, knobs in CELLS}) == 16
 
 
 class TestReports:
