@@ -84,6 +84,8 @@ class EllipticalSpec:
         A = np.asarray(self.scatter_factor, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("scatter_factor must be a d x q matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("scatter_factor must be finite")
         if self.nu is not None:
             if not 0 < self.nu < np.inf:
                 raise ValueError("nu must be > 0 and finite, or None for the Gaussian")

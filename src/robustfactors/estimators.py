@@ -18,7 +18,7 @@ import numpy as np
 from ._errors import _check_integers
 from ._helper import _beside, _outcome
 from .kendall import sample_kendall_tau
-from .panel import DataPanel, _double_demean
+from .panel import DataPanel
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
 __all__ = [
@@ -51,8 +51,7 @@ class EstimatorConfig:
         unit-trace spectrum the tail sums carry L c-terms; large c drowns
         the signal of secondary factors next to a dominant one.
     allow_zero : bool
-        Include j = 0 using the mock eigenvalue, enabling a zero-factor
-        estimate.
+        Include j = 0 using the mock eigenvalue, enabling a zero-factor estimate.
     """
 
     method: str
@@ -68,6 +67,8 @@ class EstimatorConfig:
             raise ValueError("k_max must be >= 1")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
+        if not isinstance(self.allow_zero, (bool, np.bool_)):
+            raise ValueError(f"allow_zero must be True or False, got {self.allow_zero!r}")
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
@@ -118,10 +119,10 @@ def estimate_many(
 ) -> dict[str, EstimationResult]:
     """Run several configurations on one panel, sharing matrix work.
 
-    Each path demeans the panel once (Kendall: rows; Gram: rows and columns)
-    and builds its matrix at most once, and each regularized spectrum is
-    built once per (matrix, c); configs that differ only in k_max, allow_zero
-    or the criterion share them, which makes k_max sweeps nearly free.
+    The panel is row-demeaned once for both paths, each path builds its
+    matrix at most once, and each regularized spectrum once per (matrix, c);
+    configs that differ only in k_max, allow_zero or the criterion share
+    them, which makes k_max sweeps nearly free.
     """
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
@@ -143,25 +144,25 @@ def _decide(Y, configs, kendall=None) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
-    on its shape; neither is checked again. ``kendall`` is None, or a
-    function of no arguments that returns the Kendall's tau matrix of the
-    row-demeaned ``Y``; without it, that matrix is :func:`sample_kendall_tau`
-    of the row-demeaned panel.
+    on its shape; neither is checked again. Both paths read one row demean of
+    ``Y``, made here. ``kendall`` is None, or a function of no arguments that
+    returns the Kendall's tau matrix of that array; without it, that matrix
+    is :func:`sample_kendall_tau` of the array.
 
-    The Gram path (double demean, product, eigensolver) runs on the
-    :mod:`._helper` thread while the Kendall path runs here; each demeans
-    ``Y`` itself. The eigensolvers overlap only where ``spectrum._eigvalsh``
-    is the LAPACK binding, which releases the GIL; the
-    ``np.linalg.eigvalsh`` it falls back to holds it. The bytes are those of
-    one thread, and of two failed paths the error that the first config in
-    order meets is raised.
+    The Gram path (column demean, product, eigensolver) runs on the
+    :mod:`._helper` thread while the Kendall path runs here. The eigensolvers
+    overlap only where ``spectrum._eigvalsh`` is the LAPACK binding, which
+    releases the GIL; the ``np.linalg.eigvalsh`` it falls back to holds it.
+    The bytes are those of one thread, and of two failed paths the error that
+    the first config in order meets is raised.
     """
     T, N = Y.shape
+    R = Y - Y.mean(axis=1, keepdims=True)  # column shifts cancel in Kendall's row differences
     paths = {_path(config) for config in configs.values()}
-    gram = _beside(partial(_gram_path, Y)) if "covariance" in paths else None
+    gram = _beside(partial(_gram_path, R)) if "covariance" in paths else None
     raw = {}
     if "kendall" in paths:
-        raw["kendall"] = _outcome(partial(_kendall_path, Y, kendall))
+        raw["kendall"] = _outcome(partial(_kendall_path, R, kendall))
     if gram is not None:
         raw["covariance"] = gram()
     spectra: dict[tuple[str, float], EigenSpectrum] = {}
@@ -182,14 +183,13 @@ def _path(config: EstimatorConfig) -> str:
     return "kendall" if config.method in KENDALL_METHODS else "covariance"
 
 
-def _kendall_path(Y, kendall) -> np.ndarray:
-    # row demeaning only: a column shift cancels in every row difference
-    kt = kendall() if kendall else sample_kendall_tau(Y - Y.mean(axis=1, keepdims=True))
+def _kendall_path(R, kendall) -> np.ndarray:
+    kt = kendall() if kendall else sample_kendall_tau(R)
     return eigenvalues_sym(kt.matrix)
 
 
-def _gram_path(Y) -> np.ndarray:
-    return gram_eigenvalues(_double_demean(Y))
+def _gram_path(R) -> np.ndarray:
+    return gram_eigenvalues(R - R.mean(axis=0))
 
 
 def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
@@ -197,6 +197,6 @@ def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
 
     MKER/MKTCR run on the sample multivariate Kendall's tau matrix of the
     row-demeaned panel; ER/GR/TCR run on the covariance-path Gram spectrum
-    of the double-demeaned panel.
+    of that panel less its column means.
     """
     return estimate_many(panel, {config.method: config})[config.method]

@@ -2,7 +2,7 @@
 
 A panel is a T x N matrix of observations: rows are time points, columns are
 series, and a NaN cell is missing. Every estimator in this package consumes a
-complete :class:`DataPanel` (impute first) and double-demeans it itself.
+complete :class:`DataPanel` (impute first) and row-demeans it once, itself.
 """
 
 from __future__ import annotations
@@ -368,16 +368,12 @@ def impute_column_mean(panel: DataPanel) -> DataPanel:
 
 
 def double_demean(panel: DataPanel) -> DataPanel:
-    """Subtract series means and time means, adding back the grand mean.
+    """Subtract the row (time) means, then the column (series) means of the result.
 
-    Output rows and columns each sum to zero up to rounding. Idempotent.
-    Raises ValueError when missing values are present.
+    This is the panel ER, GR and TCR read. Rows and columns each sum to zero
+    up to rounding. Idempotent. Raises ValueError when missing values are present.
     """
     if panel.has_missing:
         raise ValueError("cannot demean a panel with missing values; impute first")
-    return DataPanel(_double_demean(panel.values), panel.time_labels)
-
-
-def _double_demean(y: np.ndarray) -> np.ndarray:
-    """y minus its time means (row means) and series means (column means), plus its grand mean."""
-    return y - y.mean(axis=1, keepdims=True) - y.mean(axis=0, keepdims=True) + y.mean()
+    rows = panel.values - panel.values.mean(axis=1, keepdims=True)
+    return DataPanel(rows - rows.mean(axis=0), panel.time_labels)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import InvariantError, NumericalError
+from ._errors import InvariantError, NumericalError, _check_integers
 
 __all__ = ["EigenSpectrum", "eigenvalues_sym", "build_spectrum", "gram_eigenvalues"]
 
@@ -152,6 +152,7 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
         raise ValueError("raw_eigenvalues must be nonincreasing")
     if not c > 0:
         raise ValueError("c must be positive")
+    _check_integers(N=N, T=T)
     if N < 2 or T < 2:
         raise ValueError("N and T must be >= 2")
     raw = raw[: min(N, T)]

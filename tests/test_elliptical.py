@@ -65,6 +65,14 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="^scatter_factor must be a d x q matrix$"):
                 EllipticalSpec(scatter_factor=A)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scatter_factor_rejected(self, bad):
+        # rejected when set, not later as inf or NaN rows of sample_elliptical
+        A = np.eye(2)
+        A[0, 0] = bad
+        with pytest.raises(ValueError, match="^scatter_factor must be finite$"):
+            EllipticalSpec(A, nu=3)
+
     def test_student_t_requires_nu(self):
         # the t_nu needs nu > 0; nu=None is the Gaussian, not a missing nu
         for nu in (0, 0.0, -1.0, float("nan"), -np.inf):

@@ -27,7 +27,7 @@ from robustfactors.estimators import (
 from robustfactors.kendall import _pair_weight_band, sample_kendall_tau
 from robustfactors.panel import DataPanel, impute_column_mean, ingest_csv
 from robustfactors.rolling import rolling_estimate
-from robustfactors.spectrum import build_spectrum, eigenvalues_sym
+from robustfactors.spectrum import build_spectrum, eigenvalues_sym, gram_eigenvalues
 
 
 def reference_series(raw, N, T, c, method, k_max, allow_zero=False):
@@ -111,7 +111,7 @@ class TestConfig:
             EstimatorConfig(method="er", k_max=0)
         with pytest.raises(ValueError, match="c must"):
             EstimatorConfig(method="er", c=0.0)
-        # every estimate double-demeans; there is no demeaning mode to pick
+        # every estimate demeans the same way; there is no demeaning mode to pick
         with pytest.raises(TypeError, match="demean"):
             EstimatorConfig(method="mker", demean="none")
 
@@ -126,6 +126,14 @@ class TestConfig:
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(ValueError, match="c must be positive and finite"):
             EstimatorConfig(method="mker", c=c)
+
+    @pytest.mark.parametrize("allow_zero", ["no", "", 0, 1, None, np.int64(1)])
+    def test_non_bool_allow_zero_rejected(self, allow_zero):
+        """Rejected at construction: a truthy "no" would admit the j = 0 candidate."""
+        want = f"^allow_zero must be True or False, got {re.escape(repr(allow_zero))}$"
+        with pytest.raises(ValueError, match=want):
+            EstimatorConfig(method="mker", k_max=3, allow_zero=allow_zero)
+        assert EstimatorConfig(method="mker", allow_zero=np.bool_(True)).allow_zero
 
     def test_method_groups(self):
         assert set(KENDALL_METHODS) == {"mker", "mktcr"}
@@ -480,30 +488,59 @@ class TestHelperThread:
         assert len(threads) == 3 and len(set(threads)) == 1
         assert threads[0] != threading.get_ident()
 
-    def demeaning_threads(self, monkeypatch, panel, configs):
-        """The thread of each _double_demean call in one estimate_many."""
-        threads = []
-        demean = estimators._double_demean
-        monkeypatch.setattr(
-            estimators, "_double_demean",
-            lambda Y: threads.append(threading.get_ident()) or demean(Y),
-        )
+    def path_calls(self, monkeypatch, panel, configs):
+        """(path, thread, input array) of each _kendall_path and _gram_path call
+        in one estimate_many."""
+        calls = []
+        for name in ("_kendall_path", "_gram_path"):
+            monkeypatch.setattr(
+                estimators, name,
+                lambda R, *rest, name=name, path=getattr(estimators, name):
+                    calls.append((name, threading.get_ident(), R)) or path(R, *rest),
+            )
         estimate_many(panel, configs)
-        return threads
+        return calls
 
     def test_gram_only_call_demeans_on_the_helper(self, rng, monkeypatch):
+        # the Gram path's column demean runs on the helper, once
         configs = {m: EstimatorConfig(method=m, k_max=3) for m in COVARIANCE_METHODS}
-        threads = self.demeaning_threads(monkeypatch, factor_panel(rng, 30, 12, r=1), configs)
-        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        calls = self.path_calls(monkeypatch, factor_panel(rng, 30, 12, r=1), configs)
+        assert [(name, thread == threading.get_ident()) for name, thread, _ in calls] == [
+            ("_gram_path", False)
+        ]
 
-    def test_each_path_demeans_once(self, rng, monkeypatch):
-        # the Gram path double-demeans on the helper; the Kendall path subtracts
-        # only the row means, since column shifts cancel in row differences
-        panel = factor_panel(rng, 30, 12, r=1)
-        threads = self.demeaning_threads(monkeypatch, panel, FIVE)
-        assert len(threads) == 1 and threads[0] != threading.get_ident()
+    def test_both_paths_read_one_row_demean(self, rng, monkeypatch):
+        # the caller row-demeans once; the Kendall path reads that array as is,
+        # since column shifts cancel in row differences, and the Gram path on
+        # the helper subtracts its column means
+        Y = factor_panel(rng, 30, 12, r=1).values + 50.0 * rng.standard_normal(12)
+        calls = self.path_calls(monkeypatch, DataPanel(Y), FIVE)
+        assert sorted(name for name, _, _ in calls) == ["_gram_path", "_kendall_path"]
+        threads = {name: thread for name, thread, _ in calls}
+        assert threads["_kendall_path"] == threading.get_ident() != threads["_gram_path"]
+        assert calls[0][2] is calls[1][2]
+        assert calls[0][2].tobytes() == (Y - Y.mean(axis=1, keepdims=True)).tobytes()
         kendall = {m: EstimatorConfig(method=m, k_max=3) for m in KENDALL_METHODS}
-        assert self.demeaning_threads(monkeypatch, panel, kendall) == []
+        assert [name for name, _, _ in self.path_calls(monkeypatch, DataPanel(Y), kendall)] == [
+            "_kendall_path"
+        ]
+
+    def test_paths_compute_no_row_mean(self, rng):
+        # each path reads the array it is given: neither demeans its rows again
+        Y = factor_panel(rng, 30, 12, r=1).values + 50.0 * rng.standard_normal((30, 1))
+        assert np.array_equal(
+            estimators._kendall_path(Y, None), eigenvalues_sym(sample_kendall_tau(Y).matrix)
+        )
+        assert np.array_equal(estimators._gram_path(Y), gram_eigenvalues(Y - Y.mean(axis=0)))
+
+    def test_gram_spectrum_reads_the_row_then_column_demean(self, rng):
+        Y = factor_panel(rng, 40, 15, r=2).values + 50.0 * rng.standard_normal(15)
+        configs = {m: EstimatorConfig(method=m, k_max=4) for m in COVARIANCE_METHODS}
+        got = estimate_many(DataPanel(Y), configs)
+        R = Y - Y.mean(axis=1, keepdims=True)
+        want = build_spectrum(gram_eigenvalues(R - R.mean(axis=0)), N=15, T=40, c=0.01)
+        for res in got.values():
+            assert res.spectrum.raw.tobytes() == want.raw.tobytes()
 
     def test_kendall_path_reads_the_row_demeaned_panel(self, rng):
         Y = factor_panel(rng, 40, 15, r=2).values + 50.0 * rng.standard_normal(15)

@@ -853,6 +853,12 @@ class TestDoubleDemean:
                 expected[t, i] = y[t, i] - y[t].mean() - y[:, i].mean() + y.mean()
         np.testing.assert_allclose(out, expected, atol=1e-13)
 
+    def test_row_then_column_bytes(self, rng):
+        # the panel ER, GR and TCR read: the row demean, then its column means off
+        y = rng.standard_normal((30, 7)) + 1e3 * rng.standard_normal(7)
+        rows = y - y.mean(axis=1, keepdims=True)
+        assert double_demean(DataPanel(y)).values.tobytes() == (rows - rows.mean(axis=0)).tobytes()
+
     def test_rejects_missing(self):
         values = np.array([[1.0, np.nan], [2.0, 4.0]])
         panel = DataPanel(values)

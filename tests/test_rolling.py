@@ -372,11 +372,11 @@ class TestSharedPairWeights:
             result = rolling_estimate(DataPanel(Y), 25, configs)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 25, configs)
 
-    def test_covered_kendall_windows_are_not_demeaned(self):
+    def test_kendall_windows_skip_the_gram_path(self):
         Y = t_factor_panel(1.0, seed=37, T=60, N=15)
         configs = method_configs("mker,mktcr")
         expected = per_window_r_hat(Y, 25, configs)
-        with mock.patch.object(estimators, "_double_demean", side_effect=AssertionError("demean")):
+        with mock.patch.object(estimators, "_gram_path", side_effect=AssertionError("gram")):
             result = rolling_estimate(DataPanel(Y), 25, configs)
         assert rolling_r_hat(result) == expected
 
@@ -461,9 +461,9 @@ def old_eigenvalues_sym(A):
 
 def old_estimate_many(panel, configs, kendall):
     """The per-window path before the decision core: ``_estimate_many(DataPanel(window),
-    configs, kendall)``, copied with the double demeaning and Gram spectrum of that version.
-    Its Kendall input is the row-demeaned panel, as in the decision core: column shifts
-    cancel in row differences."""
+    configs, kendall)``, copied with the Gram spectrum of that version. Its Kendall input
+    is the row-demeaned panel and its Gram input that panel less its column means, as in
+    the decision core: column shifts cancel in row differences."""
     if panel.has_missing:
         raise ValueError("panel has missing values; impute first")
     T, N = panel.shape
@@ -474,10 +474,8 @@ def old_estimate_many(panel, configs, kendall):
         if mode not in values_cache:
             y = panel.values
             if mode == "double":
-                row_mean = y.mean(axis=1, keepdims=True)
-                col_mean = y.mean(axis=0, keepdims=True)
-                grand = y.mean()
-                y = DataPanel(y - row_mean - col_mean + grand).values
+                y = y - y.mean(axis=1, keepdims=True)
+                y = DataPanel(y - y.mean(axis=0, keepdims=True)).values
             values_cache[mode] = y
         return values_cache[mode]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import re
 import types
 import warnings
 
@@ -186,6 +187,16 @@ class TestBuildSpectrum:
             build_spectrum([1.0], N=1, T=10, c=0.01)
         with pytest.raises(ValueError, match="nonempty"):
             build_spectrum([], N=10, T=10, c=0.01)
+
+    @pytest.mark.parametrize("name, value", [("N", 2.5), ("N", "3"), ("T", 3.0), ("T", None)])
+    def test_non_integer_sizes_rejected(self, name, value):
+        """Named in the message, not a TypeError from a slice or a comparison inside."""
+        sizes = {"N": 3, "T": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            build_spectrum([1.0, 0.5, 0.1], c=0.01, **sizes)
+        want = build_spectrum([1.0, 0.5, 0.1], N=3, T=3, c=0.01)
+        got = build_spectrum([1.0, 0.5, 0.1], N=np.int64(3), T=3, c=0.01)
+        assert got.regularized.tobytes() == want.regularized.tobytes()
 
     @pytest.mark.parametrize("c", [np.inf, 1e308])
     def test_non_finite_tail_sums_raise(self, c):
