@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import NumericalError, _check_integers
+from ._errors import NumericalError, _check_integers, _check_reals
 
 __all__ = [
     "EllipticalSpec",
@@ -42,18 +42,15 @@ class RngStream:
 
     Streams with identical coordinates produce identical sequences; distinct
     indices are independent for this package's purposes. Replication k of a
-    Monte Carlo run uses stream_index = k.
+    Monte Carlo run uses stream_index = k. Both coordinates are nonnegative
+    integers; a bool is refused.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_integers(master_seed=self.master_seed, stream_index=self.stream_index)
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
+        _check_integers(least=0, master_seed=self.master_seed, stream_index=self.stream_index)
 
     def generator(self, lane: int = 0) -> np.random.Generator:
         """Fresh Philox generator for (master_seed, stream_index, lane)."""
@@ -87,6 +84,7 @@ class EllipticalSpec:
         if not np.isfinite(A).all():
             raise ValueError("scatter_factor must be finite")
         if self.nu is not None:
+            _check_reals(nu=self.nu)
             if not 0 < self.nu < np.inf:
                 raise ValueError("nu must be > 0 and finite, or None for the Gaussian")
             object.__setattr__(self, "nu", float(self.nu))
@@ -116,9 +114,7 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
     np.ndarray
         n x d sample matrix.
     """
-    _check_integers(n=n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integers(least=1, n=n)
     A = spec.scatter_factor
     g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
     if spec.nu is not None:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ._errors import _check_integers
+from ._errors import _check_flags, _check_integers, _check_reals
 from ._helper import _beside, _outcome
 from .kendall import sample_kendall_tau
 from .panel import DataPanel
@@ -45,13 +45,15 @@ class EstimatorConfig:
     method : str
         One of "mker", "mktcr", "er", "gr", "tcr".
     k_max : int
-        Predetermined upper bound for the factor number, default 8.
+        Predetermined upper bound for the factor number, an integer >= 1 and
+        not a bool, default 8.
     c : float
-        Regularizer constant, default 0.01. Kept small because on a
-        unit-trace spectrum the tail sums carry L c-terms; large c drowns
-        the signal of secondary factors next to a dominant one.
+        Regularizer constant, a real number (not a bool), default 0.01. Kept
+        small because on a unit-trace spectrum the tail sums carry L c-terms;
+        large c drowns the signal of secondary factors next to a dominant one.
     allow_zero : bool
-        Include j = 0 using the mock eigenvalue, enabling a zero-factor estimate.
+        Include j = 0 using the mock eigenvalue, enabling a zero-factor estimate;
+        True or False, as a Python or numpy bool.
     """
 
     method: str
@@ -62,13 +64,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {ALL_METHODS}")
-        _check_integers(k_max=self.k_max)
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        _check_integers(least=1, k_max=self.k_max)
+        _check_reals(c=self.c)
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-        if not isinstance(self.allow_zero, (bool, np.bool_)):
-            raise ValueError(f"allow_zero must be True or False, got {self.allow_zero!r}")
+        _check_flags(allow_zero=self.allow_zero)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import _check_integers
+from ._errors import _check_integers, _check_reals
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
 from .estimators import ALL_METHODS, EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
@@ -76,8 +76,10 @@ class ScenarioSpec:
         if (spiked is None) != (self.snr is None):
             verb = "does not take" if spiked is None else "requires"
             raise ValueError(f"scenario {self.name} {verb} snr")
-        if spiked is not None and not 0 < self.snr < np.inf:
-            raise ValueError("snr must be finite" if self.snr > 0 else "snr must be positive")
+        if spiked is not None:
+            _check_reals(snr=self.snr)
+            if not 0 < self.snr < np.inf:
+                raise ValueError("snr must be finite" if self.snr > 0 else "snr must be positive")
         if fixed_dist not in (None, self.dist):
             raise ValueError(f"scenario {self.name} fixes its distribution ({fixed_dist})")
         if size is not None and not self.N == self.T == size:
@@ -163,9 +165,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     Loadings are redrawn per replication (lane 2); the joint (F_t, v_t) draw
     uses the sampler lanes.
     """
-    _check_integers(replication=replication)
-    if replication < 0:
-        raise ValueError("replication must be >= 0")
+    _check_integers(least=0, replication=replication)
     stream = RngStream(rng.master_seed, rng.stream_index + replication)
     fixed_dist, theta, r, _, spiked, _ = _CATALOG[spec.name]
     N, T = spec.N, spec.T

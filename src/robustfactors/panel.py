@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from ._errors import _check_flags
 from ._helper import _beside
 
 __all__ = ["DataPanel", "ingest_csv", "impute_column_mean", "double_demean"]
@@ -135,9 +136,9 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
         over csv.field_size_limit(). Error messages give 1-based rows that
         count the header.
     has_header : bool
-        Skip the first row.
+        Skip the first row. True or False, as a Python or numpy bool.
     has_time_column : bool
-        Treat the first column as opaque time labels.
+        Treat the first column as opaque time labels. True or False.
 
     Returns
     -------
@@ -159,6 +160,7 @@ def ingest_csv(path, has_header: bool = True, has_time_column: bool = False) -> 
     other file is read cell by cell; only that parser raises on a cell, and
     all readers give the same value bytes, labels and messages.
     """
+    _check_flags(has_header=has_header, has_time_column=has_time_column)
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8-sig")
@@ -189,12 +191,13 @@ def _read_plain(text: str, has_header: bool, has_time_column: bool) -> DataPanel
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) - has_header < 2 or "" in lines:
+    skip = 1 if has_header else 0
+    if len(lines) - skip < 2 or "" in lines:
         return None
     limit = csv.field_size_limit()
     if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
         return None
-    del lines[:has_header]
+    del lines[:skip]
     labels = [] if has_time_column else None
     # Each line is replaced by its filled data cells, so one copy of the text is live.
     for i, line in enumerate(lines):

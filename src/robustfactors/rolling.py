@@ -48,9 +48,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     if panel.has_missing:
         raise ValueError("panel has missing entries; impute before rolling estimation")
     T = panel.shape[0]
-    _check_integers(window=window)
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    _check_integers(least=2, window=window)
     if window > T:
         raise ValueError(f"window {window} exceeds panel length {T}")
     # with no configs the window needs only 2 rows and _check_size names the fault

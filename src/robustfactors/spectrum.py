@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import InvariantError, NumericalError, _check_integers
+from ._errors import InvariantError, NumericalError, _check_integers, _check_reals
 
 __all__ = ["EigenSpectrum", "eigenvalues_sym", "build_spectrum", "gram_eigenvalues"]
 
@@ -150,11 +150,10 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
         raise ValueError("raw_eigenvalues must be a nonempty vector")
     if np.any(np.diff(raw) > 1e-12):
         raise ValueError("raw_eigenvalues must be nonincreasing")
+    _check_reals(c=c)
     if not c > 0:
         raise ValueError("c must be positive")
-    _check_integers(N=N, T=T)
-    if N < 2 or T < 2:
-        raise ValueError("N and T must be >= 2")
+    _check_integers(least=2, N=N, T=T)
     raw = raw[: min(N, T)]
     floor = -1e-10 * max(float(raw[0]), 1.0)
     if raw[-1] < floor:

@@ -50,6 +50,10 @@ class TestRngStream:
             RngStream(1.5)
         with pytest.raises(ValueError, match="^stream_index must be an integer, got 1.5$"):
             RngStream(0, 1.5)
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got True$"):
+            RngStream(True)
+        with pytest.raises(ValueError, match="^stream_index must be an integer, got True$"):
+            RngStream(0, True)
         assert RngStream(np.int64(3), np.uint8(1)) == RngStream(3, 1)
 
     def test_lanes_are_independent(self):
@@ -87,11 +91,19 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="^nu must be > 0 and finite"):
                 EllipticalSpec(scatter_factor=np.eye(2), nu=nu)
 
+    @pytest.mark.parametrize("nu", [True, np.True_, "3"])
+    def test_non_real_nu_rejected(self, nu):
+        # nu=True would draw the multivariate Cauchy
+        with pytest.raises(ValueError, match=f"^nu must be a real number, got {nu!r}$"):
+            EllipticalSpec(np.eye(2), nu=nu)
+
     def test_non_integer_row_count_rejected(self):
         # named in the message, not a TypeError from inside numpy's draw
         spec = EllipticalSpec(scatter_factor=np.eye(2), nu=3.0)
         with pytest.raises(ValueError, match="^n must be an integer, got 3.5$"):
             sample_elliptical(spec, 3.5, RngStream(0))
+        with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+            sample_elliptical(spec, True, RngStream(0))
         np.testing.assert_array_equal(
             sample_elliptical(spec, np.int64(3), RngStream(0)), sample_elliptical(spec, 3, RngStream(0))
         )

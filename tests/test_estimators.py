@@ -115,7 +115,7 @@ class TestConfig:
         with pytest.raises(TypeError, match="demean"):
             EstimatorConfig(method="mker", demean="none")
 
-    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", None, True])
     def test_non_integer_k_max_rejected(self, k_max):
         """Rejected at construction, not later as a slice index inside estimate."""
         with pytest.raises(ValueError, match=f"^k_max must be an integer, got {re.escape(repr(k_max))}$"):
@@ -126,6 +126,13 @@ class TestConfig:
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(ValueError, match="c must be positive and finite"):
             EstimatorConfig(method="mker", c=c)
+
+    @pytest.mark.parametrize("c", [True, np.True_, "0.5", None])
+    def test_non_real_c_rejected(self, c):
+        """A bool is not taken as 1, and a string gets a ValueError naming c."""
+        with pytest.raises(ValueError, match=f"^c must be a real number, got {re.escape(repr(c))}$"):
+            EstimatorConfig(method="mker", c=c)
+        assert EstimatorConfig(method="mker", c=np.float32(0.5)).c == 0.5
 
     @pytest.mark.parametrize("allow_zero", ["no", "", 0, 1, None, np.int64(1)])
     def test_non_bool_allow_zero_rejected(self, allow_zero):

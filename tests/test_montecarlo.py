@@ -95,6 +95,8 @@ class TestScenarioSpec:
             direct_spec(**{knob: 2.5})
         with pytest.raises(ValueError, match=f"^{knob} must be an integer, got '3'$"):
             direct_spec(**{knob: "3"})
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer, got True$"):
+            direct_spec(**{knob: True})
         assert getattr(direct_spec(**{knob: np.int64(3)}), knob) == 3
 
     def test_non_integer_seeds_rejected(self):
@@ -104,6 +106,16 @@ class TestScenarioSpec:
             run_scenario(spec, method_configs("er", k_max=2), master_seed=2.5)
         with pytest.raises(ValueError, match="^replication must be an integer, got 1.5$"):
             generate_panel(spec, 1.5, RngStream(0))
+        # a bool is not a count, though operator.index(True) is 1
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got True$"):
+            run_scenario(spec, method_configs("er", k_max=2), master_seed=True)
+        with pytest.raises(ValueError, match="^replication must be an integer, got True$"):
+            generate_panel(spec, True, RngStream(0))
+
+    @pytest.mark.parametrize("snr", [True, np.True_, "2"])
+    def test_non_real_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match=f"^snr must be a real number, got {snr!r}$"):
+            make_scenario("B3", snr=snr)
 
     def test_infinite_snr_rejected(self):
         with pytest.raises(ValueError, match="^snr must be finite$"):

@@ -279,6 +279,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="non-finite"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_flags_are_truth_values(self, tmp_path, quoted):
+        """Both readers take a flag as True or False, never as a count of rows."""
+        header = '"a",b' if quoted else "a,b"
+        path = write_csv(tmp_path, f"{header}\nc,d\n1,2\n3,4\n5,6\n")
+        for name, value in (("has_header", 2), ("has_header", 0.5), ("has_time_column", 1)):
+            with pytest.raises(ValueError, match=f"^{name} must be True or False, got {value!r}$"):
+                ingest_csv(path, **{name: value})
+        path = write_csv(tmp_path, f"{header}\n1,2\n3,4\n5,6\n")
+        panel = ingest_csv(path, has_header=np.True_, has_time_column=np.False_)
+        np.testing.assert_array_equal(panel.values, [[1, 2], [3, 4], [5, 6]])
+
     def test_missing_file_mentions_path(self, tmp_path):
         with pytest.raises(OSError, match="nope.csv"):
             ingest_csv(tmp_path / "nope.csv")

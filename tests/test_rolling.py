@@ -152,6 +152,8 @@ class TestRollingValidation:
         panel = DataPanel(rng.standard_normal((40, 8)))
         with pytest.raises(ValueError, match="^window must be an integer, got 30.0$"):
             rolling_estimate(panel, window=30.0, configs=two_configs())
+        with pytest.raises(ValueError, match="^window must be an integer, got True$"):
+            rolling_estimate(panel, window=True, configs=two_configs())
         assert rolling_estimate(panel, window=np.int64(30), configs=two_configs()) == (
             rolling_estimate(panel, window=30, configs=two_configs())
         )

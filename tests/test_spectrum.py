@@ -188,7 +188,9 @@ class TestBuildSpectrum:
         with pytest.raises(ValueError, match="nonempty"):
             build_spectrum([], N=10, T=10, c=0.01)
 
-    @pytest.mark.parametrize("name, value", [("N", 2.5), ("N", "3"), ("T", 3.0), ("T", None)])
+    @pytest.mark.parametrize(
+        "name, value", [("N", 2.5), ("N", "3"), ("T", 3.0), ("T", None), ("N", True), ("T", True)]
+    )
     def test_non_integer_sizes_rejected(self, name, value):
         """Named in the message, not a TypeError from a slice or a comparison inside."""
         sizes = {"N": 3, "T": 3, name: value}
@@ -197,6 +199,11 @@ class TestBuildSpectrum:
         want = build_spectrum([1.0, 0.5, 0.1], N=3, T=3, c=0.01)
         got = build_spectrum([1.0, 0.5, 0.1], N=np.int64(3), T=3, c=0.01)
         assert got.regularized.tobytes() == want.regularized.tobytes()
+
+    @pytest.mark.parametrize("c", ["x", True, np.True_])
+    def test_non_real_c_rejected(self, c):
+        with pytest.raises(ValueError, match=f"^c must be a real number, got {re.escape(repr(c))}$"):
+            build_spectrum([1.0, 0.5, 0.1], N=3, T=3, c=c)
 
     @pytest.mark.parametrize("c", [np.inf, 1e308])
     def test_non_finite_tail_sums_raise(self, c):
