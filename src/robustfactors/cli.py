@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -14,16 +15,15 @@ from ._errors import InvariantError, NumericalError
 from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
 from .montecarlo import (
     DIST_CHOICES,
+    MonteCarloReport,
     ScenarioSpec,
-    format_report_table,
     make_scenario,
     method_configs,
     run_scenario,
     scenario_catalog,
-    write_report_csv,
 )
 from .panel import DataPanel, impute_column_mean, ingest_csv
-from .rolling import rolling_estimate, write_rolling_csv
+from .rolling import RollingResult, rolling_estimate
 
 __all__ = ["main"]
 
@@ -75,15 +75,49 @@ def _add_method_flags(sub):
     sub.add_argument("--c", type=float, default=EstimatorConfig.c, help="regularization constant")
 
 
+def _write_report_csv(report: MonteCarloReport, path) -> None:
+    """CSV with columns scenario, method, N, T, mean, under, over, reps, seed."""
+    spec = report.scenario
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario", "method", "N", "T", "mean", "under", "over", "reps", "seed"])
+        for name, stats in report.per_method.items():
+            writer.writerow(
+                [spec.label, name, spec.N, spec.T, f"{stats.mean:.6f}",
+                 stats.under, stats.over, spec.reps, report.seed]
+            )
+
+
+def _format_report_table(report: MonteCarloReport) -> str:
+    """Aligned x(y|z) table mirroring the simulation study's cell format."""
+    spec = report.scenario
+    lines = [
+        f"scenario {spec.label}  N={spec.N} T={spec.T} r={spec.r} "
+        f"reps={spec.reps} seed={report.seed}",
+        f"{'method':<8}{'x(y|z)':>18}",
+    ]
+    for name, stats in report.per_method.items():
+        lines.append(f"{name:<8}{stats.cell():>18}")
+    return "\n".join(lines)
+
+
+def _write_rolling_csv(result: RollingResult, path) -> None:
+    """CSV with a time_label column and one integer column per method."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_label", *result.methods])
+        writer.writerows(result.rows)
+
+
 def _cmd_simulate(args) -> int:
     spec = make_scenario(args.scenario, N=args.N, T=args.T, dist=args.dist, snr=args.snr,
                          reps=args.reps)
     configs = method_configs(args.methods, k_max=args.kmax, c=args.c)
     report = run_scenario(spec, configs, master_seed=args.seed,
                           progress=_progress_printer("simulate"))
-    print(format_report_table(report))
+    print(_format_report_table(report))
     if args.out:
-        write_report_csv(report, args.out)
+        _write_report_csv(report, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -121,7 +155,7 @@ def _cmd_rolling(args) -> int:
     configs = method_configs(args.methods, k_max=args.kmax, c=args.c)
     result = rolling_estimate(panel, args.window, configs, progress=_progress_printer("rolling"))
     if args.out:
-        write_rolling_csv(result, args.out)
+        _write_rolling_csv(result, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print("time_label " + " ".join(result.methods))

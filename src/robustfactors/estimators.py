@@ -24,7 +24,6 @@ from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigen
 __all__ = [
     "EstimatorConfig",
     "EstimationResult",
-    "estimate",
     "estimate_many",
     "KENDALL_METHODS",
     "COVARIANCE_METHODS",
@@ -190,13 +189,3 @@ def _kendall_path(R, kendall) -> np.ndarray:
 
 def _gram_path(R) -> np.ndarray:
     return gram_eigenvalues(R - R.mean(axis=0))
-
-
-def estimate(panel: DataPanel, config: EstimatorConfig) -> EstimationResult:
-    """End to end: demean, build the method's matrix, extract the spectrum, decide.
-
-    MKER/MKTCR run on the sample multivariate Kendall's tau matrix of the
-    row-demeaned panel; ER/GR/TCR run on the covariance-path Gram spectrum
-    of that panel less its column means.
-    """
-    return estimate_many(panel, {config.method: config})[config.method]

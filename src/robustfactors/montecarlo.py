@@ -16,7 +16,6 @@ loadings are standard normal, redrawn each replication.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,11 @@ __all__ = [
     "ScenarioSpec",
     "CellStats",
     "MonteCarloReport",
-    "neighbor_half_width",
     "scenario_catalog",
     "make_scenario",
     "generate_panel",
     "run_scenario",
     "method_configs",
-    "write_report_csv",
-    "format_report_table",
 ]
 
 # dist -> degrees of freedom of the multivariate t draws; None is the Gaussian
@@ -48,7 +44,7 @@ DIST_CHOICES = tuple(_DIST_NU)
 _BURN_IN = 50
 
 
-def neighbor_half_width(N: int) -> int:
+def _neighbor_half_width(N: int) -> int:
     """The J rule used by the correlated-error scenarios: max(10, N/20)."""
     return max(10, N // 20)
 
@@ -105,7 +101,7 @@ class ScenarioSpec:
 
 # name: (fixed dist or None, theta, r, fixed N = T or None, spiked factor or None,
 # the line `robustfactors catalog` prints). A fixed dist marks the correlated-error
-# family: rho = 0.5, beta = 0.2 and J = neighbor_half_width(N); A has iid errors.
+# family: rho = 0.5, beta = 0.2 and J = _neighbor_half_width(N); A has iid errors.
 _CATALOG = {
     "A": (None, 1.0, 3, None, None, "r=3, iid errors; knobs: dist (required), N, T"),
     "B1": ("gaussian", 1.0, 3, None, None,
@@ -179,7 +175,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     V = X[:, r:]
 
     # A has iid errors; the scenarios with a fixed dist have correlated ones
-    J, beta, rho = (0, 0.0, 0.0) if fixed_dist is None else (neighbor_half_width(N), 0.2, 0.5)
+    J, beta, rho = (0, 0.0, 0.0) if fixed_dist is None else (_neighbor_half_width(N), 0.2, 0.5)
     if J > 0:
         # win[:, i] = V[:, max(i - J, 0)] + ... + V[:, min(i + J, N - 1)], from one
         # cumulative sum with a leading zero column
@@ -286,29 +282,3 @@ def run_scenario(
         for name, h in hist.items()
     }
     return MonteCarloReport(scenario=spec, seed=master_seed, per_method=per_method)
-
-
-def write_report_csv(report: MonteCarloReport, path) -> None:
-    """CSV with columns scenario, method, N, T, mean, under, over, reps, seed."""
-    spec = report.scenario
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "N", "T", "mean", "under", "over", "reps", "seed"])
-        for name, stats in report.per_method.items():
-            writer.writerow(
-                [spec.label, name, spec.N, spec.T, f"{stats.mean:.6f}",
-                 stats.under, stats.over, spec.reps, report.seed]
-            )
-
-
-def format_report_table(report: MonteCarloReport) -> str:
-    """Aligned x(y|z) table mirroring the simulation study's cell format."""
-    spec = report.scenario
-    lines = [
-        f"scenario {spec.label}  N={spec.N} T={spec.T} r={spec.r} "
-        f"reps={spec.reps} seed={report.seed}",
-        f"{'method':<8}{'x(y|z)':>18}",
-    ]
-    for name, stats in report.per_method.items():
-        lines.append(f"{name:<8}{stats.cell():>18}")
-    return "\n".join(lines)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -11,7 +10,7 @@ from .estimators import KENDALL_METHODS, _check_size, _decide
 from .kendall import _pair_weight_band, _window_kendall_tau
 from .panel import DataPanel
 
-__all__ = ["RollingResult", "rolling_estimate", "write_rolling_csv"]
+__all__ = ["RollingResult", "rolling_estimate"]
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,3 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         if progress is not None:
             progress(start + 1, n_windows)
     return RollingResult(rows=rows, window=window, methods=tuple(configs))
-
-
-def write_rolling_csv(result: RollingResult, path) -> None:
-    """CSV with a time_label column and one integer column per method."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_label", *result.methods])
-        writer.writerows(result.rows)

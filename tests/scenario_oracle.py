@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
-from robustfactors.montecarlo import neighbor_half_width
+from robustfactors.montecarlo import _neighbor_half_width
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def _correlated(name, dist, note, r=3, theta=1.0):
             raise ValueError(f"scenario {name} does not take snr")
         return Design(
             name=name, r=rr, theta=theta, rho=0.5, beta=0.2,
-            J=neighbor_half_width(N), dist=dist, N=N, T=T, reps=reps, scatter_diag=scatter,
+            J=_neighbor_half_width(N), dist=dist, N=N, T=T, reps=reps, scatter_diag=scatter,
         )
 
     build.__doc__ = note

@@ -21,7 +21,6 @@ from robustfactors.estimators import (
     KENDALL_METHODS,
     EstimatorConfig,
     _evaluate,
-    estimate,
     estimate_many,
 )
 from robustfactors.kendall import _pair_weight_band, sample_kendall_tau
@@ -154,7 +153,9 @@ ARRAY_HOLDERS = {
     "KendallTauMatrix": lambda Y: sample_kendall_tau(Y),
     "PairWeightBand": lambda Y: _pair_weight_band(Y, 4),
     "EigenSpectrum": lambda Y: build_spectrum([1.0, 0.5, 0.25], N=10, T=10, c=0.01),
-    "EstimationResult": lambda Y: estimate(DataPanel(Y), EstimatorConfig(method="er", k_max=2)),
+    "EstimationResult": lambda Y: estimate_many(
+        DataPanel(Y), {"er": EstimatorConfig(method="er", k_max=2)}
+    )["er"],
     "EllipticalSpec": lambda Y: EllipticalSpec(Y[:, :3], nu=3.0),
 }
 
@@ -281,7 +282,7 @@ class TestEndToEnd:
     def test_recovers_planted_factors(self, rng):
         panel = factor_panel(rng, 120, 60, r=3)
         for method in ALL_METHODS:
-            res = estimate(panel, EstimatorConfig(method=method))
+            res = estimate_many(panel, {method: EstimatorConfig(method=method)})[method]
             assert res.r_hat == 3, method
 
     def test_kendall_and_covariance_paths_use_different_spectra(self, rng):
@@ -305,7 +306,7 @@ class TestEndToEnd:
         }
         joint = estimate_many(panel, configs)
         for name, cfg in configs.items():
-            solo = estimate(panel, cfg)
+            solo = estimate_many(panel, {name: cfg})[name]
             assert joint[name].r_hat == solo.r_hat
             np.testing.assert_array_equal(joint[name].ratio_series, solo.ratio_series)
 
@@ -342,21 +343,21 @@ class TestEndToEnd:
         assert joint["er"].spectrum is joint["gr"].spectrum is joint["tcr"].spectrum
         monkeypatch.undo()
         for name, cfg in configs.items():
-            solo = estimate(panel, cfg)
+            solo = estimate_many(panel, {name: cfg})[name]
             assert joint[name].r_hat == solo.r_hat
             assert joint[name].ratio_series.tobytes() == solo.ratio_series.tobytes()
 
     def test_small_panel_guard(self, rng):
         panel = noise_panel(rng, 8, 40)
         with pytest.raises(ValueError, match="too small"):
-            estimate(panel, EstimatorConfig(method="mker", k_max=8))
+            estimate_many(panel, {"mker": EstimatorConfig(method="mker", k_max=8)})
 
     def test_missing_values_rejected(self, rng):
         values = rng.standard_normal((20, 10))
         values[3, 4] = np.nan
         panel = DataPanel(values)
         with pytest.raises(ValueError, match="impute"):
-            estimate(panel, EstimatorConfig(method="mker", k_max=3))
+            estimate_many(panel, {"mker": EstimatorConfig(method="mker", k_max=3)})
 
     def test_zero_factor_choice_on_pure_noise(self, rng):
         hits = {"mker": 0, "mktcr": 0}
@@ -378,7 +379,8 @@ class TestEndToEnd:
 
     def test_zero_factor_not_chosen_with_real_factors(self, rng):
         panel = factor_panel(rng, 100, 50, r=2)
-        res = estimate(panel, EstimatorConfig(method="mker", allow_zero=True))
+        cfg = EstimatorConfig(method="mker", allow_zero=True)
+        res = estimate_many(panel, {"mker": cfg})["mker"]
         assert res.r_hat == 2
 
 
@@ -410,8 +412,8 @@ class TestInvariance:
     def test_power_of_two_scaling_is_bitwise(self, rng):
         Y = rng.standard_normal((30, 10))
         cfg = EstimatorConfig(method="mker", k_max=4)
-        base = estimate(DataPanel(Y), cfg)
-        scaled = estimate(DataPanel(128.0 * Y), cfg)
+        base = estimate_many(DataPanel(Y), {"mker": cfg})["mker"]
+        scaled = estimate_many(DataPanel(128.0 * Y), {"mker": cfg})["mker"]
         assert np.array_equal(base.ratio_series, scaled.ratio_series)
         assert base.r_hat == scaled.r_hat
 
@@ -420,7 +422,7 @@ class TestInvariance:
         for a in (0.5, 2.0):
             for m in COVARIANCE_METHODS:
                 cfg = EstimatorConfig(method=m, k_max=6)
-                assert estimate(DataPanel(a * panel.values), cfg).r_hat == 2
+                assert estimate_many(DataPanel(a * panel.values), {m: cfg})[m].r_hat == 2
 
 
 class TestMethodAgreement:

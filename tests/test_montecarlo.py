@@ -9,20 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustfactors import montecarlo
+from robustfactors import cli, montecarlo
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig, estimate_many
 from robustfactors.montecarlo import (
     CellStats,
     ScenarioSpec,
-    format_report_table,
+    _neighbor_half_width,
     generate_panel,
     make_scenario,
     method_configs,
-    neighbor_half_width,
     run_scenario,
     scenario_catalog,
-    write_report_csv,
 )
 
 from accuracy_record import cell
@@ -148,10 +146,10 @@ class TestScenarioSpec:
         assert a != run_scenario(spec, method_configs("mker,er"), master_seed=5)
 
     def test_neighbor_half_width_rule(self):
-        assert neighbor_half_width(100) == 10
-        assert neighbor_half_width(10) == 10
-        assert neighbor_half_width(300) == 15
-        assert neighbor_half_width(400) == 20
+        assert _neighbor_half_width(100) == 10
+        assert _neighbor_half_width(10) == 10
+        assert _neighbor_half_width(300) == 15
+        assert _neighbor_half_width(400) == 20
 
 
 class TestCatalog:
@@ -237,7 +235,7 @@ class TestGeneratePanel:
         X = sample_elliptical(espec, n_draws, stream)
         F = X[50:, : spec.r]
         V = X[:, spec.r:]
-        N, J, beta, rho = spec.N, neighbor_half_width(spec.N), 0.2, 0.5
+        N, J, beta, rho = spec.N, _neighbor_half_width(spec.N), 0.2, 0.5
         E = np.zeros((spec.T, N))
         e_prev = np.zeros(N)
         for t in range(n_draws):
@@ -433,7 +431,7 @@ class TestAccuracyRecord:
     def test_cell_reproduces_the_simulate_golden(self):
         report = cell("C1", {"N": 60, "T": 60}, reps=20, master_seed=3)
         golden = (Path(__file__).parent / "data" / "simulate_c1.txt").read_text()
-        assert format_report_table(report) + "\n" == golden
+        assert cli._format_report_table(report) + "\n" == golden
 
     def test_rows_count_every_replication(self):
         rows = accuracy_rows(cell("A", {"dist": "cauchy", "N": 30, "T": 30}, reps=6))
@@ -452,7 +450,7 @@ class TestReports:
         spec = make_scenario("A", dist="t3", N=30, T=30, reps=3)
         report = run_scenario(spec, method_configs("mker,er"), master_seed=4)
         path = tmp_path / "report.csv"
-        write_report_csv(report, path)
+        cli._write_report_csv(report, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["method"] for row in rows] == ["mker", "er"]
@@ -468,7 +466,7 @@ class TestReports:
     def test_table_format(self):
         spec = make_scenario("A", dist="gaussian", N=25, T=25, reps=2)
         report = run_scenario(spec, method_configs("mker,tcr"), master_seed=0)
-        text = format_report_table(report)
+        text = cli._format_report_table(report)
         assert "scenario A-gaussian" in text
         assert "N=25 T=25 r=3" in text
         for name in ("mker", "tcr"):

@@ -32,13 +32,12 @@ EXPORTS = {
     "EigenSpectrum", "eigenvalues_sym", "build_spectrum", "gram_eigenvalues",
     # estimators
     "ALL_METHODS", "COVARIANCE_METHODS", "KENDALL_METHODS", "EstimatorConfig",
-    "EstimationResult", "estimate", "estimate_many",
+    "EstimationResult", "estimate_many",
     # montecarlo
-    "CellStats", "MonteCarloReport", "RngStream", "ScenarioSpec", "format_report_table",
-    "generate_panel", "make_scenario", "method_configs", "neighbor_half_width",
-    "run_scenario", "scenario_catalog", "write_report_csv",
+    "CellStats", "MonteCarloReport", "RngStream", "ScenarioSpec", "generate_panel",
+    "make_scenario", "method_configs", "run_scenario", "scenario_catalog",
     # rolling
-    "RollingResult", "rolling_estimate", "write_rolling_csv",
+    "RollingResult", "rolling_estimate",
 }
 
 
@@ -50,10 +49,21 @@ def test_package_exports_each_module_all():
             assert getattr(robustfactors, name) is getattr(mod, name), name
     assert set(robustfactors.__all__) == names
     assert len(robustfactors.__all__) == len(names)
-    assert names == EXPORTS and len(EXPORTS) == 38
+    assert names == EXPORTS and len(EXPORTS) == 33
     # the rolling band is internal, with no alias under its old public names
     for old in ("PairWeightBand", "pair_weight_band", "window_kendall_tau"):
         assert old not in names and not hasattr(robustfactors.kendall, old)
+    # the per-method wrapper and the CLI's writers are gone from the library,
+    # and the J rule is private, each with no alias
+    for home, old in (
+        ("estimators", "estimate"),
+        ("montecarlo", "neighbor_half_width"),
+        ("montecarlo", "write_report_csv"),
+        ("montecarlo", "format_report_table"),
+        ("rolling", "write_rolling_csv"),
+    ):
+        assert old not in names and not hasattr(robustfactors, old)
+        assert not hasattr(LIBRARY[home], old), (home, old)
 
 
 def test_no_name_in_two_modules():

@@ -12,12 +12,13 @@ from test_kendall import enumerate_rows, t_factor_panel
 
 import robustfactors.estimators as estimators
 import robustfactors.rolling as rolling
+from robustfactors import cli
 from robustfactors.elliptical import RngStream
 from robustfactors.estimators import KENDALL_METHODS, EstimatorConfig, _evaluate, estimate_many
 from robustfactors.kendall import _pair_weight_band, _window_kendall_tau, sample_kendall_tau
 from robustfactors.montecarlo import generate_panel, make_scenario, method_configs
 from robustfactors.panel import DataPanel
-from robustfactors.rolling import rolling_estimate, write_rolling_csv
+from robustfactors.rolling import rolling_estimate
 from robustfactors.spectrum import build_spectrum, eigenvalues_sym
 
 
@@ -191,7 +192,7 @@ class TestRollingCsv:
         panel = DataPanel(rng.standard_normal((16, 8)))
         result = rolling_estimate(panel, window=10, configs=two_configs(k_max=3))
         path = tmp_path / "rolling.csv"
-        write_rolling_csv(result, path)
+        cli._write_rolling_csv(result, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7
@@ -206,7 +207,7 @@ class TestRollingCsv:
         panel = DataPanel(rng.standard_normal((12, 8)), time_labels=labels)
         result = rolling_estimate(panel, window=8, configs=two_configs(k_max=3))
         path = tmp_path / "dup.csv"
-        write_rolling_csv(result, path)
+        cli._write_rolling_csv(result, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 5
