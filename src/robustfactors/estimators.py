@@ -17,7 +17,7 @@ import numpy as np
 
 from ._errors import _check_flags, _check_integers, _check_reals
 from ._helper import _beside, _outcome
-from .kendall import sample_kendall_tau
+from .kendall import _pair_weight_band, _window_kendall_tau, sample_kendall_tau
 from .panel import DataPanel
 from .spectrum import EigenSpectrum, build_spectrum, eigenvalues_sym, gram_eigenvalues
 
@@ -139,14 +139,14 @@ def _check_size(shape: tuple[int, int], configs) -> None:
             raise ValueError(f"panel too small: min(N, T) = {m} < k_max + 2 = {config.k_max + 2}")
 
 
-def _decide(Y, configs, kendall=None) -> dict[str, EstimationResult]:
+def _decide(Y, configs, band=None, start=0) -> dict[str, EstimationResult]:
     """The decision shared by :func:`estimate_many` and every rolling window.
 
     ``Y`` is a complete T x N array and ``configs`` passed :func:`_check_size`
     on its shape; neither is checked again. Both paths read one row demean of
-    ``Y``, made here. ``kendall`` is None, or a function of no arguments that
-    returns the Kendall's tau matrix of that array; without it, that matrix
-    is :func:`sample_kendall_tau` of the array.
+    ``Y``, made here. The Kendall's tau matrix of that array is
+    :func:`sample_kendall_tau` of it or, where ``Y`` is the window at row
+    ``start`` of the panel of a :func:`_window_band`, read from ``band``.
 
     The Gram path (column demean, product, eigensolver) runs on the
     :mod:`._helper` thread while the Kendall path runs here. The eigensolvers
@@ -161,7 +161,7 @@ def _decide(Y, configs, kendall=None) -> dict[str, EstimationResult]:
     gram = _beside(partial(_gram_path, R)) if "covariance" in paths else None
     raw = {}
     if "kendall" in paths:
-        raw["kendall"] = _outcome(partial(_kendall_path, R, kendall))
+        raw["kendall"] = _outcome(partial(_kendall_path, R, band, start))
     if gram is not None:
         raw["covariance"] = gram()
     spectra: dict[tuple[str, float], EigenSpectrum] = {}
@@ -182,8 +182,18 @@ def _path(config: EstimatorConfig) -> str:
     return "kendall" if config.method in KENDALL_METHODS else "covariance"
 
 
-def _kendall_path(R, kendall) -> np.ndarray:
-    kt = kendall() if kendall else sample_kendall_tau(R)
+def _window_band(Y, window, configs):
+    """The band of pair weights from which :func:`_decide` reads the Kendall
+    matrix of each length-``window`` window of ``Y``; None when no config reads
+    one. It is built from the row demean of ``Y``, which holds every window's
+    input to the Kendall path, since a row's mean does not depend on the window."""
+    if all(_path(config) != "kendall" for config in configs.values()):
+        return None
+    return _pair_weight_band(Y - Y.mean(axis=1, keepdims=True), window)
+
+
+def _kendall_path(R, band, start) -> np.ndarray:
+    kt = sample_kendall_tau(R) if band is None else _window_kendall_tau(band, start)
     return eigenvalues_sym(kt.matrix)
 
 

@@ -354,4 +354,4 @@ def verify_kendall_invariants(kt: KendallTauMatrix) -> None:
     if eigs[-1] < -1e-10:
         raise InvariantError(f"kendall matrix not PSD: min eigenvalue {eigs[-1]:.3e}")
     if eigs[0] > 1.0 + 1e-10:
-        raise InvariantError(f"kendall matrix spectral norm {eigs[0]:.6f} exceeds 1")
+        raise InvariantError(f"kendall matrix spectral norm exceeds 1 by {eigs[0] - 1.0:.3e}")

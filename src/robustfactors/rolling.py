@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from ._errors import _check_integers
-from .estimators import KENDALL_METHODS, _check_size, _decide
-from .kendall import _pair_weight_band, _window_kendall_tau
+from .estimators import _check_size, _decide, _window_band
 from .panel import DataPanel
 
 __all__ = ["RollingResult", "rolling_estimate"]
@@ -38,11 +36,9 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     :func:`~robustfactors.estimators.estimate_many`.
 
     The panel and configs are validated once per call, not per window. The
-    Kendall matrices of all windows come from one
-    :func:`~robustfactors.kendall._pair_weight_band` of the row-demeaned
-    panel, built only when some config is a Kendall method. Every window
-    reads it, at any scale; see
-    :func:`~robustfactors.kendall._window_kendall_tau`.
+    decision core builds one band of pair weights for the call, only when
+    some config is a Kendall method, and reads every window's Kendall matrix
+    from it, at any scale; see :func:`~robustfactors.estimators._window_band`.
     """
     if panel.has_missing:
         raise ValueError("panel has missing entries; impute before rolling estimation")
@@ -56,21 +52,14 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         raise ValueError(f"window {window} too small for k_max; need at least {need}")
     _check_size((window, panel.shape[1]), configs)
 
-    # One band of pair weights serves every window. A window's Kendall input is
-    # its row-demeaned rows, and a row's mean does not depend on the window,
-    # so the row-demeaned panel holds every window's input.
     values = panel.values
-    band = None
-    if any(cfg.method in KENDALL_METHODS for cfg in configs.values()):
-        band = _pair_weight_band(values - values.mean(axis=1, keepdims=True), window)
+    band = _window_band(values, window, configs)
     labels = panel.time_labels
     rows: list[tuple] = []
     n_windows = T - window + 1
     for start in range(n_windows):
         end = start + window - 1
-        # _decide calls it while its helper thread runs the Gram path
-        kendall = None if band is None else partial(_window_kendall_tau, band, start)
-        results = _decide(values[start : end + 1], configs, kendall)
+        results = _decide(values[start : end + 1], configs, band, start)
         label = labels[end] if labels is not None else str(end + 1)
         rows.append((label, *(res.r_hat for res in results.values())))
         if progress is not None:

@@ -538,7 +538,7 @@ class TestHelperThread:
         # each path reads the array it is given: neither demeans its rows again
         Y = factor_panel(rng, 30, 12, r=1).values + 50.0 * rng.standard_normal((30, 1))
         assert np.array_equal(
-            estimators._kendall_path(Y, None), eigenvalues_sym(sample_kendall_tau(Y).matrix)
+            estimators._kendall_path(Y, None, 0), eigenvalues_sym(sample_kendall_tau(Y).matrix)
         )
         assert np.array_equal(estimators._gram_path(Y), gram_eigenvalues(Y - Y.mean(axis=0)))
 

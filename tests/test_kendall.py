@@ -14,7 +14,7 @@ from scipy import integrate
 from robustfactors._errors import InvariantError
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
 from robustfactors.estimators import estimate_many
-from robustfactors.kendall import sample_kendall_tau, verify_kendall_invariants
+from robustfactors.kendall import KendallTauMatrix, sample_kendall_tau, verify_kendall_invariants
 from robustfactors.montecarlo import method_configs
 from robustfactors.panel import DataPanel
 from robustfactors.spectrum import eigenvalues_sym
@@ -108,6 +108,11 @@ class TestKernelValue:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two rows"):
             sample_kendall_tau(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 4, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a T x N matrix"):
+            sample_kendall_tau(np.ones(shape))
 
     def test_nonfinite_panel_rejected(self):
         Y = np.ones((4, 3))
@@ -400,6 +405,12 @@ class TestInvariantChecker:
             verify_kendall_invariants(
                 type("KT", (), {"matrix": M})()  # duck-typed carrier
             )
+
+    def test_rejects_spectral_norm_and_reports_the_excess(self):
+        # symmetric, trace one and PSD within 1e-10, but its norm is 1 + 1.5e-10
+        kt = KendallTauMatrix(np.diag([1 + 1.5e-10, -5e-11, -5e-11]), n_pairs=3)
+        with pytest.raises(InvariantError, match=r"spectral norm exceeds 1 by 1\.500e-10$"):
+            verify_kendall_invariants(kt)
 
     def test_rejects_nonfinite(self):
         M = np.array([[np.inf, 0.0], [0.0, 1.0]])

@@ -371,9 +371,16 @@ class TestSharedPairWeights:
     def test_covariance_configs_build_no_band(self):
         Y = t_factor_panel(3.0, seed=31, T=60, N=15)
         configs = method_configs("er,gr,tcr")
-        with mock.patch.object(rolling, "_pair_weight_band", side_effect=AssertionError("band")):
+        with mock.patch.object(estimators, "_pair_weight_band", side_effect=AssertionError("band")):
             result = rolling_estimate(DataPanel(Y), 25, configs)
         assert rolling_r_hat(result) == per_window_r_hat(Y, 25, configs)
+
+    def test_kendall_configs_build_one_band(self):
+        Y = t_factor_panel(3.0, seed=31, T=60, N=15)
+        band = mock.patch.object(estimators, "_pair_weight_band", wraps=estimators._pair_weight_band)
+        with band as built:
+            rolling_estimate(DataPanel(Y), 25, method_configs("mker,er,mktcr"))
+        assert built.call_count == 1
 
     def test_kendall_windows_skip_the_gram_path(self):
         Y = t_factor_panel(1.0, seed=37, T=60, N=15)
