@@ -4,8 +4,6 @@ Callers on any thread queue their jobs on it in turn; there is no thread
 count, option or environment variable to set.
 """
 
-from __future__ import annotations
-
 import _queue
 import contextvars
 import os

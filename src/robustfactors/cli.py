@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 3 internal invariant violation. Progress goes to stderr, results to stdout.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import json

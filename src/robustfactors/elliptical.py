@@ -18,8 +18,6 @@ draws (chi-square mixing variables). The lane-0 draws are the same whatever
 dividing out the radial parts recovers identical unit vectors.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +50,7 @@ class RngStream:
     def __post_init__(self):
         _check_integers(least=0, master_seed=self.master_seed, stream_index=self.stream_index)
 
-    def generator(self, lane: int = 0) -> np.random.Generator:
+    def generator(self, lane: int = 0) -> "np.random.Generator":  # quoted: numpy.random is lazy
         """Fresh Philox generator for (master_seed, stream_index, lane)."""
         seq = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.stream_index, lane)

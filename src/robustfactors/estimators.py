@@ -7,8 +7,6 @@ ratio series over j = 1..k_max (j = 0 included when zero factors are
 allowed, via the mock eigenvalue).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from functools import partial

@@ -7,8 +7,6 @@ elliptical distribution, which is what makes the factor-number criteria built
 on it robust to heavy tails.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -14,8 +14,6 @@ interior series. (F_t, v_t) are drawn jointly elliptical per time point;
 loadings are standard normal, redrawn each replication.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

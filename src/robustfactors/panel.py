@@ -5,8 +5,6 @@ series, and a NaN cell is missing. Every estimator in this package consumes a
 complete :class:`DataPanel` (impute first) and row-demeans it once, itself.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math

@@ -1,7 +1,5 @@
 """Rolling-window factor-count estimation over a time-indexed panel."""
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 from ._errors import _check_integers

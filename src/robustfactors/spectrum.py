@@ -6,8 +6,6 @@ covariance-path Gram matrix, shifted by c/sqrt(min(N, T)), with tail sums and
 the mock zero-factor eigenvalue precomputed.
 """
 
-from __future__ import annotations
-
 import ctypes
 from dataclasses import dataclass
 
@@ -45,10 +43,6 @@ class EigenSpectrum:
     c: float
     mock_zero: float
     tail_sums: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.raw.shape[0]
 
 
 def _bind_eigvalsh():

@@ -268,7 +268,7 @@ class TestRatioFormula:
     def test_bytes_match_the_per_j_loop(self, raw, extra, c, method, allow_zero, data):
         raw = sorted(raw, reverse=True)
         spec = build_spectrum(raw, N=len(raw) + extra[0], T=len(raw) + extra[1], c=c)
-        limit = spec.size - 2 if method == "gr" else spec.size - 1
+        limit = spec.raw.size - 2 if method == "gr" else spec.raw.size - 1
         k_max = data.draw(st.integers(1, limit), label="k_max")
         cfg = EstimatorConfig(method=method, k_max=k_max, c=c, allow_zero=allow_zero)
         res = _evaluate(spec, cfg)

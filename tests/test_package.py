@@ -1,15 +1,23 @@
 """Each public fact is stated once: the exports in each module's ``__all__``,
-the knob defaults on ``EstimatorConfig`` and ``ScenarioSpec``."""
+the knob defaults on ``EstimatorConfig`` and ``ScenarioSpec``, and each
+structure rule of the library in ``RULES``."""
 
 from __future__ import annotations
 
 import importlib
+import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
+
+import pytest
 
 import robustfactors
 from robustfactors import cli
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig
 from robustfactors.montecarlo import ScenarioSpec, make_scenario, method_configs
+from robustfactors.spectrum import EigenSpectrum
 
 # cli is the command-line entry point; the package does not import it, so that
 # `import robustfactors` stays free of argparse.
@@ -64,6 +72,8 @@ def test_package_exports_each_module_all():
     ):
         assert old not in names and not hasattr(robustfactors, old)
         assert not hasattr(LIBRARY[home], old), (home, old)
+    # the spectrum's length is spec.raw.size, with no alias
+    assert not hasattr(EigenSpectrum, "size")
 
 
 def test_no_name_in_two_modules():
@@ -86,3 +96,73 @@ def test_defaults_come_from_the_config_classes():
     assert parser.parse_args(["estimate", "--input", "p.csv"]).allow_zero is (
         EstimatorConfig.allow_zero
     )
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, with about 6 MB and 10 ms that
+    # rolling and estimate never need, so no import-time line (an evaluated
+    # annotation, say) may touch it
+    code = "import sys, robustfactors.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
+# The library's source from this checkout, not from whatever copy is imported.
+SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "robustfactors"
+# The structure rules: per rule, a pattern no line of the library may match
+# outside the modules named, why, and one line the pattern must match, so that
+# a typo cannot leave a rule checking nothing.
+RULES = {
+    "one_helper_thread": (
+        r"threading\.Thread\(|register_at_fork|import _queue",
+        {"_helper.py"},
+        "one thread mechanism: only _helper.py may start a thread, import _queue"
+        " or hook fork; the reader and the decision core both use it",
+        "    worker = threading.Thread(target=run, daemon=True)",
+    ),
+    "one_argument_rule": (
+        r"operator\.index|np\.bool_|numbers\.Real",
+        {"_errors.py"},
+        "one home for each argument rule: only _errors.py may test an argument's"
+        " type; integers, real numbers and flags go through its helpers",
+        "        n = operator.index(value)",
+    ),
+    "cli_owns_the_output_files": (
+        r"csv\.writer",
+        {"cli.py"},
+        "one home for the output formats: only cli.py may write a CSV file, the"
+        " files of simulate --out and rolling --out",
+        "    writer = csv.writer(fh)",
+    ),
+    "the_band_behind_the_decision_core": (
+        r"_pair_weight_band|_window_kendall_tau",
+        {"kendall.py", "estimators.py"},
+        "one home for the rolling band: kendall.py defines it, and estimators.py"
+        " alone builds it and reads each window's Kendall matrix from it",
+        "from .kendall import _pair_weight_band",
+    ),
+    "no_warning_filters_in_the_library": (
+        r"catch_warnings\(|simplefilter\(",
+        set(),
+        "the warning filters are process-wide: set from a library call that runs"
+        " on several threads, they can stay changed for good",
+        "    with warnings.catch_warnings():",
+    ),
+}
+
+
+@pytest.mark.parametrize("pattern, allowed, reason, example", RULES.values(), ids=RULES)
+def test_structure_rule(pattern, allowed, reason, example):
+    rule = re.compile(pattern)
+    assert rule.search(example), example
+    files = sorted(SOURCE.glob("*.py"))
+    assert files, f"no modules in {SOURCE}"
+    missing = allowed - {f.name for f in files}
+    assert not missing, f"allowed modules not in {SOURCE}: {sorted(missing)}"
+    hits = [
+        f"{f.name}:{number}"
+        for f in files
+        if f.name not in allowed
+        for number, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1)
+        if rule.search(line)
+    ]
+    assert not hits, f"{reason}: {', '.join(hits)}"

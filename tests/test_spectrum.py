@@ -97,6 +97,24 @@ class TestLapackBinding:
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert spectrum._bind_eigvalsh() is np.linalg.eigvalsh
 
+    def test_no_convergence_is_a_numerical_error(self, monkeypatch):
+        # a dsyevd that sizes the workspace at one element, then reports info > 0
+        def dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
+            if ctypes.c_int64.from_address(lwork).value == -1:
+                ctypes.c_double.from_address(work).value = 1.0
+                ctypes.c_int64.from_address(iwork).value = 1
+            else:
+                ctypes.c_int64.from_address(info).value = 1
+
+        monkeypatch.setattr(
+            ctypes, "CDLL", lambda path: types.SimpleNamespace(scipy_dsyevd_64_=dsyevd)
+        )
+        monkeypatch.setattr(spectrum, "_eigvalsh", spectrum._bind_eigvalsh())
+        with pytest.raises(NumericalError) as excinfo:
+            eigenvalues_sym(np.eye(3))
+        assert str(excinfo.value) == "eigensolver failed: Eigenvalues did not converge"
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
     def test_bytes_match_numpy_at_every_size(self):
         gen = np.random.default_rng(7)
         for n in range(1, 201):
@@ -135,7 +153,7 @@ class TestBuildSpectrum:
     def test_telescoping_identity_exact(self, rng):
         raw = np.sort(rng.uniform(0.0, 1.0, size=40))[::-1]
         spec = build_spectrum(raw, N=80, T=60, c=0.01)
-        L = spec.size
+        L = spec.raw.size
         V = spec.tail_sums
         for j in range(1, L):
             assert V[j - 1] == V[j] + spec.regularized[j - 1]
@@ -150,8 +168,8 @@ class TestBuildSpectrum:
     def test_length_defaults_to_min_dimension(self):
         raw = np.linspace(1.0, 0.0, 30)
         spec = build_spectrum(raw, N=30, T=12, c=0.01)
-        assert spec.size == 12
-        assert build_spectrum(raw[:5], N=30, T=12, c=0.01).size == 5
+        assert spec.raw.size == 12
+        assert build_spectrum(raw[:5], N=30, T=12, c=0.01).raw.size == 5
 
     def test_mock_eigenvalue_limits(self):
         small = build_spectrum([1.0], N=16, T=16, c=0.01)
@@ -223,7 +241,7 @@ class TestBuildSpectrum:
         gen = np.random.default_rng(n * 1000 + t)
         raw = np.sort(gen.uniform(0.0, 2.0, size=min(n, t)))[::-1]
         spec = build_spectrum(raw, N=n, T=t, c=c)
-        for j in range(spec.size):
+        for j in range(spec.raw.size):
             assert spec.tail_sums[j] == pytest.approx(spec.regularized[j:].sum(), rel=1e-12)
 
     def test_clip_inert_on_kendall_spectra(self, rng):
@@ -264,4 +282,4 @@ class TestGramEigenvalues:
         Y = rng.standard_normal((50, 30))
         spec = build_spectrum(gram_eigenvalues(Y), N=30, T=50, c=0.05)
         assert isinstance(spec, EigenSpectrum)
-        assert spec.size == 30
+        assert spec.raw.size == 30
