@@ -10,13 +10,12 @@ import json
 import sys
 
 from ._errors import InvariantError, NumericalError
-from .estimators import ALL_METHODS, EstimatorConfig, estimate_many
+from .estimators import ALL_METHODS, EstimatorConfig, estimate_many, method_configs
 from .montecarlo import (
     DIST_CHOICES,
     MonteCarloReport,
     ScenarioSpec,
     make_scenario,
-    method_configs,
     run_scenario,
     scenario_catalog,
 )

@@ -26,6 +26,7 @@ __all__ = [
     "KENDALL_METHODS",
     "COVARIANCE_METHODS",
     "ALL_METHODS",
+    "method_configs",
 ]
 
 KENDALL_METHODS = ("mker", "mktcr")
@@ -66,6 +67,31 @@ class EstimatorConfig:
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         _check_flags(allow_zero=self.allow_zero)
+
+
+def method_configs(
+    methods=None,
+    k_max: int = EstimatorConfig.k_max,
+    c: float = EstimatorConfig.c,
+    allow_zero: bool = EstimatorConfig.allow_zero,
+) -> dict[str, EstimatorConfig]:
+    """Normalize a methods argument into named EstimatorConfig entries.
+
+    ``methods`` may be None (all five), a comma-separated string or an
+    iterable of method names. The knobs default to EstimatorConfig's.
+    """
+    if methods is None:
+        names = list(ALL_METHODS)
+    elif isinstance(methods, str):
+        names = [tok.strip() for tok in methods.split(",") if tok.strip()]
+    else:
+        names = [str(tok) for tok in methods]
+    if not names:
+        raise ValueError("no methods given")
+    return {
+        name: EstimatorConfig(method=name, k_max=k_max, c=c, allow_zero=allow_zero)
+        for name in names
+    }
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity

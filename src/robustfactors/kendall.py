@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import InvariantError
-from .panel import DataPanel
 from .spectrum import eigenvalues_sym
 
 __all__ = ["KendallTauMatrix", "sample_kendall_tau", "verify_kendall_invariants"]
@@ -56,17 +55,6 @@ class KendallTauMatrix:
     n_pairs: int
     degenerate_pairs_dropped: int = 0
     direct_pairs: int = 0
-
-
-def _panel_values(panel) -> np.ndarray:
-    if isinstance(panel, DataPanel):
-        if panel.has_missing:
-            raise ValueError("panel has missing values; impute first")
-        return panel.values
-    values = np.asarray(panel, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("expected a T x N matrix")
-    return values
 
 
 def _frame(Y: np.ndarray) -> np.ndarray:
@@ -186,7 +174,7 @@ def _average(total: np.ndarray, T: int, dropped: int, n_direct: int) -> KendallT
     )
 
 
-def sample_kendall_tau(panel) -> KendallTauMatrix:
+def sample_kendall_tau(Y) -> KendallTauMatrix:
     """Average outer(d, d)/|d|^2 over all T(T-1)/2 unordered row pairs.
 
     Pairs with zero difference are dropped and counted; the average runs over
@@ -197,19 +185,21 @@ def sample_kendall_tau(panel) -> KendallTauMatrix:
     and then centered by its coordinatewise median, which cancels in every
     row difference. The sum is computed in O(T^2 N) as a graph-Laplacian
     quadratic form (see :func:`_pair_sum`); the pairs whose Gram distance
-    loses digits are summed directly from the rows of ``panel``. At a fixed
+    loses digits are summed directly from the rows of ``Y``. At a fixed
     BLAS thread count the bytes are the same on every call.
 
     Parameters
     ----------
-    panel : DataPanel or np.ndarray
-        T x N observations, T >= 2, no missing values.
+    Y : np.ndarray
+        T x N observations, T >= 2, all finite (a complete panel's ``values``).
 
     Returns
     -------
     KendallTauMatrix
     """
-    Y = _panel_values(panel)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise ValueError("expected a T x N matrix")
     T = Y.shape[0]
     if T < 2:
         raise ValueError("need at least two rows to form pairs")
@@ -279,8 +269,8 @@ def _pair_weight_band(Y: np.ndarray, window: int) -> _PairWeightBand:
     Y : np.ndarray
         T x N observations, no missing values.
     window : int
-        2 <= window <= T; :func:`~robustfactors.rolling.rolling_estimate`,
-        the one caller, checks it.
+        2 <= window <= T, as :func:`~robustfactors.rolling.rolling_estimate`
+        checks; the one caller is :func:`~robustfactors.estimators._window_band`.
     """
     T = Y.shape[0]
     Z = _frame(Y)

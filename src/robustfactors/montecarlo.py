@@ -20,7 +20,7 @@ import numpy as np
 
 from ._errors import _check_integers, _check_reals
 from .elliptical import EllipticalSpec, RngStream, sample_elliptical
-from .estimators import ALL_METHODS, EstimatorConfig, _check_size, _decide
+from .estimators import EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "make_scenario",
     "generate_panel",
     "run_scenario",
-    "method_configs",
 ]
 
 # dist -> degrees of freedom of the multivariate t draws; None is the Gaussian
@@ -221,31 +220,6 @@ class MonteCarloReport:
     scenario: ScenarioSpec
     seed: int
     per_method: dict[str, CellStats] = field(hash=False)
-
-
-def method_configs(
-    methods=None,
-    k_max: int = EstimatorConfig.k_max,
-    c: float = EstimatorConfig.c,
-    allow_zero: bool = EstimatorConfig.allow_zero,
-) -> dict[str, EstimatorConfig]:
-    """Normalize a methods argument into named EstimatorConfig entries.
-
-    ``methods`` may be None (all five), a comma-separated string or an
-    iterable of method names. The knobs default to EstimatorConfig's.
-    """
-    if methods is None:
-        names = list(ALL_METHODS)
-    elif isinstance(methods, str):
-        names = [tok.strip() for tok in methods.split(",") if tok.strip()]
-    else:
-        names = [str(tok) for tok in methods]
-    if not names:
-        raise ValueError("no methods given")
-    return {
-        name: EstimatorConfig(method=name, k_max=k_max, c=c, allow_zero=allow_zero)
-        for name in names
-    }
 
 
 def run_scenario(

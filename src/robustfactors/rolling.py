@@ -39,7 +39,7 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
     from it, at any scale; see :func:`~robustfactors.estimators._window_band`.
     """
     if panel.has_missing:
-        raise ValueError("panel has missing entries; impute before rolling estimation")
+        raise ValueError("panel has missing values; impute first")
     T = panel.shape[0]
     _check_integers(least=2, window=window)
     if window > T:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from robustfactors.montecarlo import MonteCarloReport, make_scenario, method_configs, run_scenario
+from robustfactors.estimators import method_configs
+from robustfactors.montecarlo import MonteCarloReport, make_scenario, run_scenario
 
 MASTER_SEED = 0
 REPS = 200

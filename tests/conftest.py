@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
-
-warnings.filterwarnings("ignore", message=".*TBB.*")
 
 
 @pytest.fixture

@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
-from robustfactors.estimators import ALL_METHODS, KENDALL_METHODS, EstimatorConfig, estimate_many
+from robustfactors.estimators import (
+    ALL_METHODS,
+    KENDALL_METHODS,
+    EstimatorConfig,
+    estimate_many,
+    method_configs,
+)
 from robustfactors.kendall import sample_kendall_tau, verify_kendall_invariants
-from robustfactors.montecarlo import generate_panel, make_scenario, method_configs, run_scenario
+from robustfactors.montecarlo import generate_panel, make_scenario, run_scenario
 from robustfactors.panel import DataPanel, double_demean, ingest_csv
 from robustfactors.spectrum import eigenvalues_sym
 
@@ -164,7 +170,7 @@ def test_criterion_08_property_suite():
     # repeated calls, on the array or on a copy of it, give the same bytes
     Y = panels[0].values
     first = sample_kendall_tau(Y).matrix
-    for again in (Y, Y.copy(), panels[0]):
+    for again in (Y, Y.copy(), panels[0].values):
         assert np.array_equal(first, sample_kendall_tau(again).matrix)
 
     # brute-force enumeration oracle on 50 random small panels

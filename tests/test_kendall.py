@@ -13,11 +13,10 @@ from scipy import integrate
 
 from robustfactors._errors import InvariantError
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
-from robustfactors.estimators import estimate_many
+from robustfactors.estimators import estimate_many, method_configs
 from robustfactors.kendall import KendallTauMatrix, sample_kendall_tau, verify_kendall_invariants
-from robustfactors.montecarlo import method_configs
 from robustfactors.panel import DataPanel
-from robustfactors.spectrum import eigenvalues_sym
+from robustfactors.spectrum import eigenvalues_sym, gram_eigenvalues
 
 from population_oracle import han_lower_bound, population_kendall_eigenvalues_oracle
 
@@ -95,15 +94,16 @@ class TestKernelValue:
             verify_kendall_invariants(kt)
             assert abs(np.trace(kt.matrix) - 1.0) <= 1e-10
 
-    def test_accepts_data_panel_and_rejects_missing(self, rng):
+    def test_takes_arrays_only_and_rejects_missing(self, rng):
+        # an array, as gram_eigenvalues takes; a panel passes its values
         values = rng.standard_normal((6, 3))
-        kt = sample_kendall_tau(DataPanel(values))
-        np.testing.assert_array_equal(kt.matrix, sample_kendall_tau(values).matrix)
+        for fn in (sample_kendall_tau, gram_eigenvalues):
+            with pytest.raises(TypeError):
+                fn(DataPanel(values))
         values2 = values.copy()
         values2[0, 0] = np.nan
-        panel = DataPanel(values2)
-        with pytest.raises(ValueError, match="impute"):
-            sample_kendall_tau(panel)
+        with pytest.raises(ValueError, match="panel has non-finite entries"):
+            sample_kendall_tau(values2)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="two rows"):

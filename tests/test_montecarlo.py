@@ -11,14 +11,13 @@ import pytest
 
 from robustfactors import cli, montecarlo
 from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
-from robustfactors.estimators import ALL_METHODS, EstimatorConfig, estimate_many
+from robustfactors.estimators import ALL_METHODS, EstimatorConfig, estimate_many, method_configs
 from robustfactors.montecarlo import (
     CellStats,
     ScenarioSpec,
     _neighbor_half_width,
     generate_panel,
     make_scenario,
-    method_configs,
     run_scenario,
     scenario_catalog,
 )

@@ -15,8 +15,8 @@ import pytest
 
 import robustfactors
 from robustfactors import cli
-from robustfactors.estimators import ALL_METHODS, EstimatorConfig
-from robustfactors.montecarlo import ScenarioSpec, make_scenario, method_configs
+from robustfactors.estimators import ALL_METHODS, EstimatorConfig, method_configs
+from robustfactors.montecarlo import ScenarioSpec, make_scenario
 from robustfactors.spectrum import EigenSpectrum
 
 # cli is the command-line entry point; the package does not import it, so that
@@ -40,10 +40,10 @@ EXPORTS = {
     "EigenSpectrum", "eigenvalues_sym", "build_spectrum", "gram_eigenvalues",
     # estimators
     "ALL_METHODS", "COVARIANCE_METHODS", "KENDALL_METHODS", "EstimatorConfig",
-    "EstimationResult", "estimate_many",
+    "EstimationResult", "estimate_many", "method_configs",
     # montecarlo
     "CellStats", "MonteCarloReport", "RngStream", "ScenarioSpec", "generate_panel",
-    "make_scenario", "method_configs", "run_scenario", "scenario_catalog",
+    "make_scenario", "run_scenario", "scenario_catalog",
     # rolling
     "RollingResult", "rolling_estimate",
 }
@@ -139,6 +139,14 @@ RULES = {
         "one home for the rolling band: kendall.py defines it, and estimators.py"
         " alone builds it and reads each window's Kendall matrix from it",
         "from .kendall import _pair_weight_band",
+    ),
+    "the_array_layer_takes_arrays": (
+        r"\bDataPanel\b|from \.panel import",
+        {"panel.py", "estimators.py", "rolling.py", "montecarlo.py", "cli.py", "__init__.py"},
+        "one input type per layer: the kernels, spectra and sampler take T x N"
+        " arrays, as gram_eigenvalues does; only the estimators, the rolling and"
+        " simulation runners and the CLI take or make a DataPanel",
+        "from .panel import DataPanel",
     ),
     "no_warning_filters_in_the_library": (
         r"catch_warnings\(|simplefilter\(",

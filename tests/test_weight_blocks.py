@@ -25,7 +25,6 @@ from robustfactors.kendall import (
     _flat_view,
     _frame,
     _pair_weight_band,
-    _panel_values,
     _window_kendall_tau,
     sample_kendall_tau,
 )
@@ -85,8 +84,7 @@ def _pair_sum(Y):
     return 0.5 * (total + total.T), dropped, n_direct
 
 
-def reference_band(panel, window):
-    Y = _panel_values(panel)
+def reference_band(Y, window):
     T = Y.shape[0]
     Z = _frame(Y)
     L = 2 * window - 1
