@@ -114,14 +114,19 @@ def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarra
     """
     _check_integers(least=1, n=n)
     A = spec.scatter_factor
-    g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, A.shape[1]))
-    if spec.nu is not None:
-        w = rng.generator(_LANE_RADIAL).chisquare(spec.nu, size=n)
+    return _radial_normals(spec.nu, n, A.shape[1], rng) @ A.T
+
+
+def _radial_normals(nu: float | None, n: int, q: int, rng: RngStream) -> np.ndarray:
+    """The n x q draws g, scaled by sqrt(nu/w) when nu is set: sample_elliptical before A^T."""
+    g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, q))
+    if nu is not None:
+        w = rng.generator(_LANE_RADIAL).chisquare(nu, size=n)
         with np.errstate(divide="ignore", over="ignore"):
-            scale = np.sqrt(spec.nu / w)
+            scale = np.sqrt(nu / w)
         bad = np.count_nonzero(~np.isfinite(scale))
         if bad:  # w underflowed to 0 or near it, so these rows would be inf or NaN
             raise NumericalError(f"t sampler produced non-finite output: {bad} chi-squared "
-                                 f"draws with nu = {spec.nu} underflowed to 0 or near it")
+                                 f"draws with nu = {nu} underflowed to 0 or near it")
         g *= scale[:, None]
-    return g @ A.T
+    return g

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import _check_integers, _check_reals
-from .elliptical import EllipticalSpec, RngStream, sample_elliptical
+from .elliptical import RngStream, _radial_normals
 from .estimators import EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
 
@@ -39,6 +39,11 @@ DIST_CHOICES = tuple(_DIST_NU)
 
 # leading draws discarded so that the AR(1) errors start near stationarity
 _BURN_IN = 50
+
+
+# 2^k and 2^-k for row k of a 64-row block of the AR(1) pass (see generate_panel)
+_AR_UP = 2.0 ** np.arange(64)[:, None]
+_AR_DOWN = 1.0 / _AR_UP
 
 
 def _neighbor_half_width(N: int) -> int:
@@ -162,34 +167,54 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     stream = RngStream(rng.master_seed, rng.stream_index + replication)
     fixed_dist, theta, r, _, spiked, _ = _CATALOG[spec.name]
     N, T = spec.N, spec.T
-    scatter = np.ones(N + r)
-    if spiked is not None:
-        scatter[spiked] = spec.snr
-    espec = EllipticalSpec(np.diag(np.sqrt(scatter)), _DIST_NU[spec.dist])
     n_draws = T + _BURN_IN
-    X = sample_elliptical(espec, n_draws, stream)
+    # the scatter factor is diagonal, sqrt(snr) for the spiked factor and 1 elsewhere,
+    # so A g is a column scale
+    X = _radial_normals(_DIST_NU[spec.dist], n_draws, N + r, stream)
+    if spiked is not None:
+        X[:, spiked] *= np.sqrt(float(spec.snr))
     F = X[_BURN_IN:, :r]
     V = X[:, r:]
 
     # A has iid errors; the scenarios with a fixed dist have correlated ones
-    J, beta, rho = (0, 0.0, 0.0) if fixed_dist is None else (_neighbor_half_width(N), 0.2, 0.5)
-    if J > 0:
-        # win[:, i] = V[:, max(i - J, 0)] + ... + V[:, min(i + J, N - 1)], from one
-        # cumulative sum with a leading zero column
+    if fixed_dist is None:
+        J, beta, rho, W = 0, 0.0, 0.0, V
+    else:
+        J, beta, rho = _neighbor_half_width(N), 0.2, 0.5
+        # W[:, i] = (1 - beta) V[:, i] + beta (V[:, max(i - J, 0)] + ... +
+        # V[:, min(i + J, N - 1)]), the window from one cumulative sum with a
+        # leading zero column
         csum = np.zeros((n_draws, N + 1))
         np.cumsum(V, axis=1, out=csum[:, 1:])
         idx = np.arange(N)
-        win = csum[:, np.minimum(idx + J + 1, N)] - csum[:, np.maximum(idx - J, 0)]
-    else:
-        win = V
-    W = (1.0 - beta) * V + beta * win
-
-    for t in range(1, n_draws):  # AR(1) in place: W[t] becomes e_t
-        W[t] += rho * W[t - 1]
-    u = np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2)) * W[_BURN_IN:]
+        W = csum[:, np.minimum(idx + J + 1, N)]
+        W -= csum[:, np.maximum(idx - J, 0)]
+        W *= beta
+        W += (1.0 - beta) * V
+        # The AR(1) pass W[t] += rho W[t - 1] at rho = 1/2, in blocks of 64 rows,
+        # equal bit for bit to that loop. Row a of a block takes the loop's own
+        # step; then e_{a+k} 2^k = W[a+k] 2^k + e_{a+k-1} 2^(k-1), so with row k
+        # scaled by 2^k the rest is a cumulative sum whose additions are the
+        # loop's times 2^k. A power-of-two scale commutes with rounding unless a
+        # value overflows or becomes subnormal. The 64-row cap keeps the scale at
+        # most 2^63, and the draws passed the sampler's finiteness check, so the
+        # values stay far below 1e200 even times 2^63 and, when nonzero, far
+        # above the subnormal range even times 2^-63.
+        for a in range(0, n_draws, 64):
+            block = W[a : a + 64]
+            if a:
+                block[0] += rho * W[a - 1]
+            k = len(block)
+            block *= _AR_UP[:k]
+            np.cumsum(block, axis=0, out=block)
+            block *= _AR_DOWN[:k]
+    u = W[_BURN_IN:]
+    u *= np.sqrt((1.0 - rho**2) / (1.0 + 2.0 * J * beta**2))
+    u *= np.sqrt(theta)
 
     loadings = stream.generator(2).standard_normal((N, r))
-    Y = F @ loadings.T + np.sqrt(theta) * u
+    Y = F @ loadings.T
+    Y += u
     return DataPanel(Y)
 
 

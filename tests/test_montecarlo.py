@@ -260,6 +260,10 @@ class TestGeneratePanel:
             ("B5", {"snr": 3.0}),
             ("A", {"dist": "gaussian", "N": 40, "T": 50}),
             ("A", {"dist": "t2", "N": 50, "T": 40}),
+            # 1050 draws, so 17 blocks of the AR(1) pass, each carried from the last
+            ("B1", {"N": 20, "T": 1000}),
+            # 129 draws: the last block has a single row; theta = 6
+            ("C2", {"N": 40, "T": 79}),
         ],
     )
     def test_bytes_match_the_per_step_loops(self, name, knobs):
