@@ -588,6 +588,8 @@ class TestHelperThread:
         assert warnings.filters == filters  # process-wide; no reader may leave one set
 
     def test_bytes_do_not_depend_on_the_binding(self, monkeypatch):
+        # nor on the helper: estimate_many and the 41 windows give the same bytes
+        # with it, with an inline call in its place, and with numpy's eigensolver
         gen = np.random.default_rng(31)
         Y = factor_panel(gen, 70, 24, r=2).values
         Y[30:36] *= 1e-9  # rows far below the peak, whose windows read the band too
@@ -607,7 +609,14 @@ class TestHelperThread:
             rows = rolling_estimate(DataPanel(Y), 30, FIVE).rows
             return many, rows, list(decisions)
 
+        def inline(fn):  # the Gram path on the calling thread
+            outcome = _helper._outcome(fn)
+            return lambda: outcome
+
         threaded = run()
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_beside", inline)
+            assert run() == threaded
         monkeypatch.setattr(spectrum, "_eigvalsh", np.linalg.eigvalsh)
         assert run() == threaded
         assert len(threaded[2]) == 41
