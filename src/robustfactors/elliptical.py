@@ -1,7 +1,9 @@
 """Seeded samplers for elliptical distributions.
 
-One sampler draws centered multivariate Gaussian and t samples for any
-positive degrees of freedom ν (ν = 1 is the multivariate Cauchy).
+One sampler, :func:`sample_elliptical`, draws centered multivariate Gaussian
+and t samples with identity scatter, for any positive degrees of freedom ν
+(ν = 1 is the multivariate Cauchy). It takes sizes and a stream, not a
+scatter: rows with scatter A Aᵀ are the sample times Aᵀ.
 
 Determinism contract
 --------------------
@@ -25,7 +27,6 @@ import numpy as np
 from ._errors import NumericalError, _check_integers, _check_reals
 
 __all__ = [
-    "EllipticalSpec",
     "RngStream",
     "sample_elliptical",
 ]
@@ -58,67 +59,39 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
-class EllipticalSpec:
-    """Scatter factor and radial law of a centered elliptical distribution.
-
-    Parameters
-    ----------
-    scatter_factor : np.ndarray
-        d x q matrix A with A A^T = Σ. For diagonal Σ pass the elementwise
-        square root.
-    nu : float, optional
-        Degrees of freedom of the multivariate t_ν, > 0 and finite (ν = 1 is the
-        multivariate Cauchy); None, the default, is the Gaussian.
-    """
-
-    scatter_factor: np.ndarray
-    nu: float | None = None
-
-    def __post_init__(self):
-        A = np.asarray(self.scatter_factor, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("scatter_factor must be a d x q matrix")
-        if not np.isfinite(A).all():
-            raise ValueError("scatter_factor must be finite")
-        if self.nu is not None:
-            _check_reals(nu=self.nu)
-            if not 0 < self.nu < np.inf:
-                raise ValueError("nu must be > 0 and finite, or None for the Gaussian")
-            object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "scatter_factor", A)
-
-
-def sample_elliptical(spec: EllipticalSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. rows A g, scaled by sqrt(ν/w) when ``spec.nu`` is set.
+def sample_elliptical(n: int, q: int, rng: RngStream, nu: float | None = None) -> np.ndarray:
+    """Draw n i.i.d. rows g, scaled by sqrt(ν/w) when ``nu`` is set.
 
     g is standard normal in q dimensions (the directional lane) and w is
     chi-squared with ν degrees of freedom (the radial lane), independent. With
-    ``nu=None`` the rows are Gaussian N(0, A A^T); with ν > 0 they are exactly
-    multivariate t_ν(0, A A^T), and ν = 1 is the multivariate Cauchy. A draw
-    of w that underflows (small ν) raises NumericalError, not an inf row.
+    ``nu=None`` the rows are Gaussian N(0, I_q); with ν > 0 they are exactly
+    multivariate t_ν(0, I_q), and ν = 1 is the multivariate Cauchy. For the
+    scatter A Aᵀ of a d x q factor A, multiply the result by Aᵀ. A draw of w
+    that underflows (small ν) raises NumericalError, not an inf row.
 
     Parameters
     ----------
-    spec : EllipticalSpec
-        Scatter factor and degrees of freedom.
     n : int
         Number of rows, >= 1.
+    q : int
+        Number of columns, >= 1.
     rng : RngStream
         Stream value; the call is pure.
+    nu : float, optional
+        Degrees of freedom of the multivariate t_ν, > 0 and finite; None, the
+        default, is the Gaussian.
 
     Returns
     -------
     np.ndarray
-        n x d sample matrix.
+        n x q sample matrix.
     """
-    _check_integers(least=1, n=n)
-    A = spec.scatter_factor
-    return _radial_normals(spec.nu, n, A.shape[1], rng) @ A.T
-
-
-def _radial_normals(nu: float | None, n: int, q: int, rng: RngStream) -> np.ndarray:
-    """The n x q draws g, scaled by sqrt(nu/w) when nu is set: sample_elliptical before A^T."""
+    _check_integers(least=1, n=n, q=q)
+    if nu is not None:
+        _check_reals(nu=nu)
+        if not 0 < nu < np.inf:
+            raise ValueError("nu must be > 0 and finite, or None for the Gaussian")
+        nu = float(nu)
     g = rng.generator(_LANE_DIRECTIONAL).standard_normal((n, q))
     if nu is not None:
         w = rng.generator(_LANE_RADIAL).chisquare(nu, size=n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import _check_integers, _check_reals
-from .elliptical import RngStream, _radial_normals
+from .elliptical import RngStream, sample_elliptical
 from .estimators import EstimatorConfig, _check_size, _decide
 from .panel import DataPanel
 
@@ -170,7 +170,7 @@ def generate_panel(spec: ScenarioSpec, replication: int, rng: RngStream) -> Data
     n_draws = T + _BURN_IN
     # the scatter factor is diagonal, sqrt(snr) for the spiked factor and 1 elsewhere,
     # so A g is a column scale
-    X = _radial_normals(_DIST_NU[spec.dist], n_draws, N + r, stream)
+    X = sample_elliptical(n_draws, N + r, stream, nu=_DIST_NU[spec.dist])
     if spiked is not None:
         X[:, spiked] *= np.sqrt(float(spec.snr))
     F = X[_BURN_IN:, :r]

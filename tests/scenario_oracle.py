@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
+from robustfactors.elliptical import RngStream, sample_elliptical
 from robustfactors.montecarlo import _neighbor_half_width
 
 
@@ -172,9 +172,8 @@ def loop_generate_panel(design, replication, rng):
     family, nu = LOOP_DIST_PARAMS[design.dist]
     assert (family == "gaussian") == (nu is None)
     scatter_factor = np.diag(np.sqrt(loop_scatter(design)))
-    espec = EllipticalSpec(scatter_factor=scatter_factor, nu=nu)
     n_draws = T + 50
-    X = sample_elliptical(espec, n_draws, stream)
+    X = sample_elliptical(n_draws, scatter_factor.shape[1], stream, nu=nu) @ scatter_factor.T
     F = X[50:, :r]
     V = X[:, r:]
     J, beta, rho = design.J, design.beta, design.rho

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from robustfactors import _helper, estimators, rolling, spectrum
 from robustfactors._errors import NumericalError
-from robustfactors.elliptical import EllipticalSpec
 from robustfactors.estimators import (
     ALL_METHODS,
     COVARIANCE_METHODS,
@@ -156,7 +155,6 @@ ARRAY_HOLDERS = {
     "EstimationResult": lambda Y: estimate_many(
         DataPanel(Y), {"er": EstimatorConfig(method="er", k_max=2)}
     )["er"],
-    "EllipticalSpec": lambda Y: EllipticalSpec(Y[:, :3], nu=3.0),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from robustfactors._errors import InvariantError
-from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
+from robustfactors.elliptical import RngStream, sample_elliptical
 from robustfactors.estimators import estimate_many, method_configs
 from robustfactors.kendall import KendallTauMatrix, sample_kendall_tau, verify_kendall_invariants
 from robustfactors.panel import DataPanel
@@ -56,8 +56,7 @@ def t_factor_panel(nu: float, seed: int, T: int = 400, N: int = 50, r: int = 3) 
     """T x N multivariate t_nu panel whose scatter has r strong factors."""
     gen = np.random.default_rng(seed)
     A = np.hstack([3.0 * gen.standard_normal((N, r)), np.eye(N)])
-    spec = EllipticalSpec(scatter_factor=A, nu=nu)
-    return sample_elliptical(spec, T, RngStream(seed))
+    return sample_elliptical(T, A.shape[1], RngStream(seed), nu=nu) @ A.T
 
 
 class TestKernelValue:
@@ -344,18 +343,15 @@ class TestScatterSpectrumTransfer:
     def test_radial_law_does_not_move_the_matrix(self):
         sig = np.linspace(4.0, 0.5, 6)
         A = np.diag(np.sqrt(sig))
-        gs = EllipticalSpec(scatter_factor=A)
-        ts = EllipticalSpec(scatter_factor=A, nu=1.0)
         stream = RngStream(101, 4)
-        KG = sample_kendall_tau(sample_elliptical(gs, 600, stream)).matrix
-        KC = sample_kendall_tau(sample_elliptical(ts, 600, stream)).matrix
+        KG = sample_kendall_tau(sample_elliptical(600, A.shape[1], stream) @ A.T).matrix
+        KC = sample_kendall_tau(sample_elliptical(600, A.shape[1], stream, nu=1.0) @ A.T).matrix
         assert np.linalg.norm(KG - KC, 2) < 0.1
 
     def test_top_eigenvector_tracks_scatter(self):
         sig = np.array([25.0, 1.0, 1.0, 1.0, 1.0])
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(scatter_factor=A)
-        X = sample_elliptical(spec, 3000, RngStream(103))
+        X = sample_elliptical(3000, A.shape[1], RngStream(103)) @ A.T
         M = sample_kendall_tau(X).matrix
         w, V = np.linalg.eigh(M)
         top = V[:, -1]
@@ -365,8 +361,7 @@ class TestScatterSpectrumTransfer:
         sig = np.array([10.0, 5.0, 1.0, 1.0])
         oracle = population_kendall_eigenvalues_oracle(sig, 1_000_000, RngStream(107))
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(scatter_factor=A)
-        X = sample_elliptical(spec, 5000, RngStream(109))
+        X = sample_elliptical(5000, A.shape[1], RngStream(109)) @ A.T
         emp = eigenvalues_sym(sample_kendall_tau(X).matrix)
         np.testing.assert_allclose(emp, np.sort(oracle)[::-1], atol=0.02)
 
@@ -374,11 +369,10 @@ class TestScatterSpectrumTransfer:
         sig = np.array([4.0, 2.0, 1.0, 0.5])
         pop = np.diag(np.sort(population_kendall_eigenvalues_oracle(sig, 2_000_000, RngStream(113)))[::-1])
         A = np.diag(np.sqrt(sig))
-        spec = EllipticalSpec(scatter_factor=A)
         errs = {200: 0.0, 1800: 0.0}
         for k in range(20):
             for T in errs:
-                X = sample_elliptical(spec, T, RngStream(127, k))
+                X = sample_elliptical(T, A.shape[1], RngStream(127, k)) @ A.T
                 M = sample_kendall_tau(X).matrix
                 errs[T] += np.linalg.norm(M - pop, "fro")
         ratio = errs[200] / errs[1800]

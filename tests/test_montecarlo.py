@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from robustfactors import cli, montecarlo
-from robustfactors.elliptical import EllipticalSpec, RngStream, sample_elliptical
+from robustfactors.elliptical import RngStream, sample_elliptical
 from robustfactors.estimators import ALL_METHODS, EstimatorConfig, estimate_many, method_configs
 from robustfactors.montecarlo import (
     CellStats,
@@ -214,8 +214,7 @@ class TestGeneratePanel:
         panel = generate_panel(spec, 3, RngStream(11, 0))
         stream = RngStream(11, 3)
         q = spec.N + spec.r
-        espec = EllipticalSpec(scatter_factor=np.eye(q))
-        X = sample_elliptical(espec, spec.T + 50, stream)
+        X = sample_elliptical(spec.T + 50, q, stream)
         F = X[50:, : spec.r]
         V = X[50:, spec.r:]
         loadings = stream.generator(2).standard_normal((spec.N, spec.r))
@@ -229,9 +228,8 @@ class TestGeneratePanel:
 
         stream = RngStream(5, 0)
         q = spec.N + spec.r
-        espec = EllipticalSpec(scatter_factor=np.eye(q))
         n_draws = spec.T + 50
-        X = sample_elliptical(espec, n_draws, stream)
+        X = sample_elliptical(n_draws, q, stream)
         F = X[50:, : spec.r]
         V = X[:, spec.r:]
         N, J, beta, rho = spec.N, _neighbor_half_width(spec.N), 0.2, 0.5
@@ -275,12 +273,29 @@ class TestGeneratePanel:
             want = loop_generate_panel(design, k, base)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_draws_through_the_public_sampler_once_per_replication(self, monkeypatch):
+        # The benchmark's tracer times elliptical.sample_ms by wrapping the name
+        # where montecarlo binds it; a draw routed around it would read 0 there.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sample_elliptical(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_elliptical", counting)
+        spec = make_scenario("C1", N=30, T=20, reps=3)
+        generate_panel(spec, 4, RngStream(3, 2))
+        assert calls == [((70, 33, RngStream(3, 6)), {"nu": 3.0})]
+        calls.clear()
+        run_scenario(spec, method_configs("er"), master_seed=5)
+        assert calls == [((70, 33, RngStream(5, k)), {"nu": 3.0}) for k in range(3)]
+
     def test_idiosyncratic_variance_is_standardized(self):
         # J = 10 at N = 200; the factor part is drawn again from the stream and removed
         spec = make_scenario("B1", N=200, T=4000)
         panel = generate_panel(spec, 0, RngStream(9, 0))
         stream = RngStream(9, 0)
-        X = sample_elliptical(EllipticalSpec(np.eye(spec.N + spec.r)), spec.T + 50, stream)
+        X = sample_elliptical(spec.T + 50, spec.N + spec.r, stream)
         loadings = stream.generator(2).standard_normal((spec.N, spec.r))
         u = panel.values - X[50:, : spec.r] @ loadings.T
         interior = u[:, 50:150]

@@ -33,7 +33,7 @@ EXPORTS = {
     # panel
     "DataPanel", "ingest_csv", "impute_column_mean", "double_demean",
     # elliptical
-    "EllipticalSpec", "sample_elliptical",
+    "sample_elliptical",
     # kendall
     "KendallTauMatrix", "sample_kendall_tau", "verify_kendall_invariants",
     # spectrum
@@ -57,13 +57,15 @@ def test_package_exports_each_module_all():
             assert getattr(robustfactors, name) is getattr(mod, name), name
     assert set(robustfactors.__all__) == names
     assert len(robustfactors.__all__) == len(names)
-    assert names == EXPORTS and len(EXPORTS) == 33
+    assert names == EXPORTS and len(EXPORTS) == 32
     # the rolling band is internal, with no alias under its old public names
     for old in ("PairWeightBand", "pair_weight_band", "window_kendall_tau"):
         assert old not in names and not hasattr(robustfactors.kendall, old)
-    # the per-method wrapper and the CLI's writers are gone from the library,
-    # and the J rule is private, each with no alias
+    # the per-method wrapper, the CLI's writers and the sampler's spec type
+    # are gone from the library, and the J rule is private, each with no alias
     for home, old in (
+        ("elliptical", "EllipticalSpec"),
+        ("elliptical", "_radial_normals"),
         ("estimators", "estimate"),
         ("montecarlo", "neighbor_half_width"),
         ("montecarlo", "write_report_csv"),
@@ -143,9 +145,10 @@ RULES = {
     "the_array_layer_takes_arrays": (
         r"\bDataPanel\b|from \.panel import",
         {"panel.py", "estimators.py", "rolling.py", "montecarlo.py", "cli.py", "__init__.py"},
-        "one input type per layer: the kernels, spectra and sampler take T x N"
-        " arrays, as gram_eigenvalues does; only the estimators, the rolling and"
-        " simulation runners and the CLI take or make a DataPanel",
+        "one input type per layer: the kernels and spectra take T x N arrays, as"
+        " gram_eigenvalues does, and the sampler takes sizes and a stream, not a"
+        " spec object; only the estimators, the rolling and simulation runners"
+        " and the CLI take or make a DataPanel",
         "from .panel import DataPanel",
     ),
     "no_warning_filters_in_the_library": (
