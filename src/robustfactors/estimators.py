@@ -106,7 +106,6 @@ class EstimationResult:
     r_hat: int
     ratio_series: np.ndarray
     spectrum: EigenSpectrum
-    method: str
     j_start: int
 
 
@@ -131,9 +130,7 @@ def _evaluate(spec: EigenSpectrum, config: EstimatorConfig) -> EstimationResult:
     terms = lam if tails is None else np.array([math.log1p(x) for x in lam / tails])
     series = terms[j_start:-1] / terms[j_start + 1 :]
     r_hat = j_start + int(np.argmax(series))  # first max wins ties
-    return EstimationResult(
-        r_hat=r_hat, ratio_series=series, spectrum=spec, method=method, j_start=j_start
-    )
+    return EstimationResult(r_hat=r_hat, ratio_series=series, spectrum=spec, j_start=j_start)
 
 
 def estimate_many(

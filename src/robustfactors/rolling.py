@@ -14,7 +14,6 @@ class RollingResult:
     """One (time_label, r_hat of each of ``methods``) row per window; ``rows`` is not hashed."""
 
     rows: list[tuple] = field(hash=False)
-    window: int
     methods: tuple[str, ...]
 
     def by_method(self, method: str) -> list[tuple[str, int]]:
@@ -62,4 +61,4 @@ def rolling_estimate(panel: DataPanel, window: int, configs, progress=None) -> R
         rows.append((label, *(res.r_hat for res in results.values())))
         if progress is not None:
             progress(start + 1, n_windows)
-    return RollingResult(rows=rows, window=window, methods=tuple(configs))
+    return RollingResult(rows=rows, methods=tuple(configs))

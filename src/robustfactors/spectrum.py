@@ -25,22 +25,17 @@ class EigenSpectrum:
     raw : np.ndarray
         lambda_j, j = 1..L, nonincreasing, clamped at zero.
     regularized : np.ndarray
-        lambda_j + c * delta.
-    delta : float
-        1/sqrt(m), m = min(N, T).
-    c : float
-        Regularizer constant.
+        lambda_j + c * delta, with delta = 1/sqrt(min(N, T)) and c the
+        regularizer constant.
     mock_zero : float
-        -1/log(delta), the artificial eigenvalue used when zero factors are
-        allowed.
+        -1/log(delta), delta = 1/sqrt(min(N, T)), the artificial eigenvalue
+        used when zero factors are allowed.
     tail_sums : np.ndarray
         tail_sums[j] = V_j = sum_{i > j} regularized[i-1], j = 0..L-1.
     """
 
     raw: np.ndarray
     regularized: np.ndarray
-    delta: float
-    c: float
     mock_zero: float
     tail_sums: np.ndarray
 
@@ -166,12 +161,7 @@ def build_spectrum(raw_eigenvalues, N: int, T: int, c: float) -> EigenSpectrum:
     if not np.isfinite(tail_sums[0]):  # the largest sum of nonnegative terms
         raise NumericalError(f"regularized spectrum or its tail sums are not finite (c={c!r})")
     return EigenSpectrum(
-        raw=raw,
-        regularized=regularized,
-        delta=float(delta),
-        c=float(c),
-        mock_zero=float(mock_zero),
-        tail_sums=tail_sums,
+        raw=raw, regularized=regularized, mock_zero=float(mock_zero), tail_sums=tail_sums
     )
 
 

@@ -4,17 +4,17 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tests/accuracy_record.py
 
-Sixteen catalog cells, each run with 200 replications at master seed 0 and
-the five methods at their default settings. For each cell and method the file
-holds the mean estimate and the counts of replications under, over and at the
-true r. A change that moves output bytes regenerates the file, and its diff
+Twenty-three catalog cells, each run with 200 replications at master seed 0
+and the five methods at their default settings. For each cell and method the
+file holds the mean estimate and the counts of replications under, over and at
+the true r. A change that moves output bytes regenerates the file, and its diff
 names every cell that moved. The file holds no commit id: a file cannot name
 the commit that contains it. Each cell's replications per second go to
 stdout, a throughput report that the file does not hold.
 
 pytest does not collect this script (its name does not start with ``test_``);
-it takes about 10 s on two cores, and the test suite runs only :func:`cell`
-on one small cell.
+it takes about 35 s on two cores at one BLAS thread, and the test suite runs
+only :func:`cell` on one small cell.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ OUTPUT = Path(__file__).resolve().parent.parent / "ACCURACY.json"
 
 # (scenario, make_scenario knobs): A in three dists at two sizes; the
 # correlated-error cells at 100 x 100; the fixed-size cells, spiked ones at
-# one weak and one strong snr
+# one weak and one strong snr; then the paper's consistency claim: the hard
+# theta = 6 cells as N = T grows, and cells with N > T
 CELLS = (
     *(("A", {"dist": d, "N": n, "T": n}) for n in (50, 100) for d in ("gaussian", "t3", "cauchy")),
     *((name, {"N": 100, "T": 100}) for name in ("B1", "B2", "C1", "C2")),
@@ -42,6 +43,10 @@ CELLS = (
     ("C4", {}),
     ("B5", {"snr": 2.0}),
     ("C5", {"snr": 2.0}),
+    *((name, {"N": n, "T": n}) for name in ("B2", "C2") for n in (200, 300)),
+    ("A", {"dist": "cauchy", "N": 200, "T": 50}),
+    ("A", {"dist": "t3", "N": 400, "T": 60}),
+    ("C1", {"N": 300, "T": 60}),
 )
 
 

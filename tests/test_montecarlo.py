@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -457,6 +458,18 @@ class TestAccuracyRecord:
         for row in rows:
             assert row["cell"] == "A-cauchy 30x30" and row["r"] == 3
             assert row["under"] + row["over"] + row["exact"] == 6
+
+    def test_committed_record_shows_kendall_consistency_on_c2(self):
+        # the paper's claim on the committed numbers: under t3 draws with noise
+        # scale theta = 6, the Kendall methods recover r as N = T grows and pull
+        # away from the covariance baselines
+        record = json.loads((Path(__file__).parent.parent / "ACCURACY.json").read_text())
+        exact = {(row["cell"], row["method"]): row["exact"] for row in record["rows"]}
+        for method in ("mker", "mktcr"):
+            big = exact["C2 300x300", method]
+            assert big > exact["C2 100x100", method]
+            for baseline in ("er", "gr", "tcr"):
+                assert big > exact["C2 300x300", baseline], (method, baseline)
 
 
 class TestReports:

@@ -4,6 +4,7 @@ structure rule of the library in ``RULES``."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -15,8 +16,9 @@ import pytest
 
 import robustfactors
 from robustfactors import cli
-from robustfactors.estimators import ALL_METHODS, EstimatorConfig, method_configs
+from robustfactors.estimators import ALL_METHODS, EstimationResult, EstimatorConfig, method_configs
 from robustfactors.montecarlo import ScenarioSpec, make_scenario
+from robustfactors.rolling import RollingResult
 from robustfactors.spectrum import EigenSpectrum
 
 # cli is the command-line entry point; the package does not import it, so that
@@ -74,8 +76,26 @@ def test_package_exports_each_module_all():
     ):
         assert old not in names and not hasattr(robustfactors, old)
         assert not hasattr(LIBRARY[home], old), (home, old)
-    # the spectrum's length is spec.raw.size, with no alias
-    assert not hasattr(EigenSpectrum, "size")
+    # the spectrum's length is spec.raw.size, and the records drop the call's
+    # inputs and delta = 1/sqrt(min(N, T)), each with no alias
+    for record, old in (
+        (EigenSpectrum, "size"),
+        (EigenSpectrum, "delta"),
+        (EigenSpectrum, "c"),
+        (EstimationResult, "method"),
+        (RollingResult, "window"),
+    ):
+        assert not hasattr(record, old), (record.__name__, old)
+
+
+@pytest.mark.parametrize("record, names", [
+    (EigenSpectrum, ["raw", "regularized", "mock_zero", "tail_sums"]),
+    (EstimationResult, ["r_hat", "ratio_series", "spectrum", "j_start"]),
+    (RollingResult, ["rows", "methods"]),
+])
+def test_result_fields_are_what_the_call_computed(record, names):
+    # a record holds no copy of the call's config or window
+    assert [f.name for f in dataclasses.fields(record)] == names
 
 
 def test_no_name_in_two_modules():

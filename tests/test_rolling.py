@@ -46,9 +46,9 @@ class TestRollingMechanics:
     def test_window_count_and_labels(self, rng):
         panel = DataPanel(rng.standard_normal((40, 10)))
         result = rolling_estimate(panel, window=20, configs=two_configs())
-        assert result.window == 20
+        # T - window + 1 rows, the first labelled by the window's last row
+        assert len(result.rows) == 21
         path = result.by_method("mker")
-        assert len(path) == 21
         assert [label for label, _ in path] == [str(i) for i in range(20, 41)]
 
     def test_custom_time_labels_used(self, rng):
@@ -108,7 +108,7 @@ class TestRollingMechanics:
         b = rolling_estimate(panel, window=10, configs=two_configs(k_max=3))
         assert a == b and hash(a) == hash(b)
         other = rolling.RollingResult(
-            rows=[(label, 0, 0) for label, *_ in a.rows], window=a.window, methods=a.methods
+            rows=[(label, 0, 0) for label, *_ in a.rows], methods=a.methods
         )
         assert other != a and hash(other) == hash(a)
 

@@ -145,7 +145,7 @@ class TestLapackBinding:
 class TestBuildSpectrum:
     def test_worked_example(self):
         spec = build_spectrum([1.0, 0.5], N=100, T=100, c=0.05)
-        assert spec.delta == pytest.approx(0.1)
+        np.testing.assert_allclose(spec.regularized - spec.raw, 0.05 / np.sqrt(100))
         np.testing.assert_allclose(spec.regularized, [1.005, 0.505])
         assert spec.mock_zero == pytest.approx(0.43429448, abs=1e-8)
         np.testing.assert_allclose(spec.tail_sums, [1.51, 0.505])
@@ -160,10 +160,12 @@ class TestBuildSpectrum:
         assert V[L - 1] == spec.regularized[L - 1]
 
     def test_delta_uses_smaller_dimension(self):
+        # the shift c * delta, delta = 1/sqrt(min(N, T)), whichever dimension is smaller
         spec = build_spectrum([1.0], N=400, T=25, c=1.0)
-        assert spec.delta == pytest.approx(0.2)
+        assert spec.regularized - spec.raw == pytest.approx(1.0 / np.sqrt(25))
         spec2 = build_spectrum([1.0], N=25, T=400, c=1.0)
-        assert spec2.delta == spec.delta
+        assert (spec2.regularized == spec.regularized).all()
+        assert spec2.mock_zero == spec.mock_zero
 
     def test_length_defaults_to_min_dimension(self):
         raw = np.linspace(1.0, 0.0, 30)
@@ -175,13 +177,14 @@ class TestBuildSpectrum:
         small = build_spectrum([1.0], N=16, T=16, c=0.01)
         large = build_spectrum([1.0], N=10_000, T=10_000, c=0.01)
         assert large.mock_zero < small.mock_zero
-        assert large.mock_zero / large.delta > small.mock_zero / small.delta
+        # mock_zero = -1/log(delta) vanishes more slowly than delta = 1/sqrt(min(N, T))
+        assert large.mock_zero * np.sqrt(10_000) > small.mock_zero * np.sqrt(16)
         assert large.mock_zero == pytest.approx(2.0 / np.log(10_000))
 
     def test_tiny_negatives_clipped(self):
         spec = build_spectrum([1.0, 0.0, -5e-11], N=10, T=10, c=0.01)
         assert spec.raw[-1] == 0.0
-        assert spec.regularized[-1] == pytest.approx(0.01 * spec.delta)
+        assert spec.regularized[-1] == pytest.approx(0.01 / np.sqrt(10))
 
     def test_large_negative_violates_contract(self):
         with pytest.raises(InvariantError, match="PSD"):
